@@ -6,6 +6,8 @@ S_i = Tr(Phi sigma_i); a unit-trace 3x3 matrix expands as
 Phi = (I + sqrt(3) sum_i S_i g_i)/3 with S_i = sqrt(3) Tr(g_i Phi)/2.
 The two imaginary off-diagonal SU(3) generators carry -i above the
 diagonal and +i below, keeping every generator Hermitian.
+``generators(n)`` returns the basis as one read-only (n^2 - 1, n, n)
+array.
 """
 
 from __future__ import annotations
@@ -29,56 +31,33 @@ def _frozen(rows) -> np.ndarray:
     return m
 
 
-_PAULI = (
-    _frozen([[0, 1], [1, 0]]),
-    _frozen([[0, -1j], [1j, 0]]),
-    _frozen([[1, 0], [0, -1]]),
-)
+_GENERATORS = {
+    2: _frozen([
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ]),
+    3: _frozen([
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+        np.diag([1, 1, -2]) / _SQRT3,
+    ]),
+}
 
-_SU3 = (
-    _frozen([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-    _frozen([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]),
-    _frozen([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-    _frozen([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-    _frozen([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]]),
-    _frozen([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-    _frozen([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]),
-    _frozen(np.diag([1, 1, -2]) / _SQRT3),
-)
 
+def generators(n: int) -> np.ndarray:
+    """The Pauli set (n=2) or SU(3) Gell-Mann set (n=3), standard order.
 
-@dataclass(frozen=True, eq=False)
-class GeneratorSet:
-    """Ordered generator basis for one dimension.
-
-    Every member is Hermitian and traceless with Tr(g_i g_j) = 2 delta_ij.
+    Returns one shared read-only (n^2 - 1, n, n) array.
     """
-
-    dim: int
-    matrices: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self.matrices[index]
-
-    def stacked(self) -> np.ndarray:
-        """All generators as one (n^2 - 1, n, n) array."""
-        return np.stack(self.matrices)
-
-
-@lru_cache(maxsize=None)
-def generators(n: int) -> GeneratorSet:
-    """The Pauli set (n=2) or SU(3) Gell-Mann set (n=3), standard order."""
-    if n == 2:
-        return GeneratorSet(2, _PAULI)
-    if n == 3:
-        return GeneratorSet(3, _SU3)
-    raise UnsupportedDimension(f"generator sets exist for n in {{2, 3}}, got {n}")
+    if n not in _GENERATORS:
+        raise UnsupportedDimension(f"generator sets exist for n in {{2, 3}}, got {n}")
+    return _GENERATORS[n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +105,7 @@ def structure_constants() -> StructureConstants:
     tables.  Both tensors are verified real before the imaginary parts
     are discarded, then cached immutably.
     """
-    lam = generators(3).stacked()
+    lam = generators(3)
     triple = np.einsum("aij,bjk,cki->abc", lam, lam, lam)  # Tr(g_a g_b g_c)
     swapped = triple.transpose(1, 0, 2)
     d = (triple + swapped) / 4.0
@@ -160,7 +139,7 @@ def stokes_extract(phi) -> StokesVector:
         raise ValidationError("matrix trace is ~0; cannot trace-normalize")
     if abs(trace - 1.0) > TAU_NORM:
         phi = phi / trace
-    lam = generators(n).stacked()
+    lam = generators(n)
     raw = np.einsum("kij,ji->k", lam, phi)  # Tr(g_k phi) for each k
     scale = 1.0 if n == 2 else _SQRT3 / 2.0
     return StokesVector(n, scale * raw.real)
@@ -173,7 +152,7 @@ def stokes_reconstruct(s: StokesVector) -> np.ndarray:
     result need not be positive semi-definite; validate before using it
     as a density matrix.
     """
-    lam = generators(s.n).stacked()
+    lam = generators(s.n)
     weighted = np.einsum("k,kij->ij", s.components, lam)
     if s.n == 2:
         return (np.eye(2) + weighted) / 2.0

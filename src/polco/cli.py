@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,14 +25,8 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .linalg import (
-    matrix_from_json,
-    matrix_to_json,
-    partial_trace,
-    state_from_json,
-    state_to_json,
-)
-from .measures import measure_report, report_to_json
+from .linalg import matrix_from_json, matrix_to_json, state_from_json, state_to_json
+from .measures import _measured_density, measure_report, report_to_json
 from .relations import relation_ids, run_campaign, summary_to_json
 from .states import haar_pure, named_state, named_state_names, random_mixed
 from .tolerances import TAU_NUM, TAU_REL
@@ -66,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True, help=", ".join(relation_ids()))
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rank", type=int, help="force one rank for mixed-state campaigns")
+    p.add_argument("--rank", type=int, help="pin one rank (1..dim) for pct and the mixed trialities")
     p.add_argument("--tol", type=float, help=f"residual tolerance (default {TAU_REL})")
     p.add_argument("--out", help="write the summary here instead of stdout")
 
@@ -111,7 +106,7 @@ def _scalar_text(value) -> str:
 
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
     rows = _flatten(doc)
     if fmt == "csv":
         lines = ["key,value"]
@@ -136,16 +131,10 @@ def _cmd_analyze(args) -> int:
         raise ValueError("input is not a matrix or vector document")
     if doc["re"] and isinstance(doc["re"][0], list):
         obj = matrix_from_json(doc)
-        rho = obj
     else:
         obj = state_from_json(doc)
-        if obj.split is not None:
-            rho = partial_trace(obj.density(), *obj.split, keep="A")
-        else:
-            rho = obj.density()
-    report = measure_report(obj)
-    out_doc = report_to_json(report)
-    out_doc["stokes"] = stokes_to_json(stokes_extract(rho))
+    out_doc = report_to_json(measure_report(obj))
+    out_doc["stokes"] = stokes_to_json(stokes_extract(_measured_density(obj)[0]))
     _emit(_render(out_doc, args.format), args.out)
     return 0
 
@@ -168,20 +157,20 @@ def _cmd_generate(args) -> int:
                 f"--kind named requires --name; known: {', '.join(named_state_names())}"
             )
         doc = state_to_json(named_state(args.name))
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(json.dumps(doc, indent=2, allow_nan=False), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.tol is not None and args.tol <= 0:
-        raise ValueError(f"--tol must be > 0, got {args.tol}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     seed = args.seed if args.seed is not None else _default_seed()
-    params = {"rank": args.rank} if args.rank else None
+    params = {"rank": args.rank} if args.rank is not None else None
     tol = args.tol if args.tol is not None else TAU_REL
     summary = run_campaign(args.relation, args.samples, seed, params=params, tol=tol)
-    _emit(json.dumps(summary_to_json(summary)), args.out)
+    _emit(json.dumps(summary_to_json(summary), allow_nan=False), args.out)
     return 0 if summary.failures == 0 else 1
 
 
@@ -208,7 +197,7 @@ def _cmd_constants(args) -> int:
         "f_nonzero": _tensor_nonzeros(consts.f),
     }
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(json.dumps(doc, indent=2, allow_nan=False), args.out)
     else:
         lines = []
         for n in ("2", "3"):

@@ -42,7 +42,7 @@ class StateVector:
         if amp.ndim != 1 or amp.size == 0:
             raise DimensionError(f"amplitudes must be a nonempty 1-d array, got shape {amp.shape}")
         norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > TAU_NORM:
+        if not abs(norm_sq - 1.0) <= TAU_NORM:  # also rejects NaN and infinite amplitudes
             raise ValidationError(f"state norm^2 = {norm_sq!r}, not 1 within {TAU_NORM}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -83,11 +83,16 @@ class ValidationReport:
 def validate_density(m, require_unit_trace: bool = True) -> ValidationReport:
     """Report Hermiticity, positive semi-definiteness, and trace of ``m``.
 
-    Never raises; callers decide what to do with a failing report.  The
-    PSD check diagonalizes the Hermitian part of ``m`` so it stays
-    meaningful (and deterministic) for slightly non-Hermitian input.
+    Never raises; callers decide what to do with a failing report.  A
+    matrix with non-finite entries fails every check and is not
+    diagonalized.  The PSD check diagonalizes the Hermitian part of
+    ``m`` so it stays meaningful (and deterministic) for slightly
+    non-Hermitian input.
     """
     m = as_complex_matrix(m)
+    if not np.isfinite(m).all():
+        nan = float("nan")
+        return ValidationReport(False, False, complex(nan, nan), nan, ("matrix has non-finite entries",))
     messages = []
     herm_defect = float(np.abs(m - m.conj().T).max())
     hermitian = herm_defect <= TAU_HERM
@@ -212,13 +217,20 @@ def matrix_to_json(m) -> dict:
     return {"dim": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def matrix_from_json(doc: dict) -> np.ndarray:
+def _complex_from_json(doc: dict, ndim: int) -> np.ndarray:
     dim = int(doc["dim"])
     re = np.asarray(doc["re"], dtype=np.float64)
     im = np.asarray(doc["im"], dtype=np.float64)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(f"matrix document claims dim {dim} but carries shapes {re.shape}, {im.shape}")
+    if re.shape != (dim,) * ndim or im.shape != (dim,) * ndim:
+        kind = "matrix" if ndim == 2 else "vector"
+        raise ValueError(f"{kind} document claims dim {dim} but carries shapes {re.shape}, {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError("document holds non-finite values")
     return re + 1j * im
+
+
+def matrix_from_json(doc: dict) -> np.ndarray:
+    return _complex_from_json(doc, ndim=2)
 
 
 def state_to_json(state: StateVector) -> dict:
@@ -233,12 +245,8 @@ def state_to_json(state: StateVector) -> dict:
 
 
 def state_from_json(doc: dict) -> StateVector:
-    dim = int(doc["dim"])
-    re = np.asarray(doc["re"], dtype=np.float64)
-    im = np.asarray(doc["im"], dtype=np.float64)
-    if re.shape != (dim,) or im.shape != (dim,):
-        raise ValueError(f"vector document claims dim {dim} but carries shapes {re.shape}, {im.shape}")
+    amplitudes = _complex_from_json(doc, ndim=1)
     split = doc.get("split")
     if split is not None:
         split = (int(split[0]), int(split[1]))
-    return StateVector(re + 1j * im, split=split)
+    return StateVector(amplitudes, split=split)

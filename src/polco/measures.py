@@ -10,6 +10,7 @@ the raw values in its metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -95,6 +96,14 @@ def concurrence_2x2(state: StateVector) -> float:
     return float(2.0 * abs(a * d - b * c))
 
 
+def _i_concurrence_raw(rows) -> float:
+    # pairwise wedge route, kept independent of the reduced state's purity
+    total = 0.0
+    for i, j in combinations(range(len(rows)), 2):
+        total += wedge_norm_sq(rows[i], rows[j])
+    return 4.0 * total
+
+
 def i_concurrence_sq(state: StateVector) -> float:
     """Squared I-concurrence: 4 sum_{i<j} |phi_i ^ phi_j|^2.
 
@@ -104,12 +113,7 @@ def i_concurrence_sq(state: StateVector) -> float:
     """
     if state.split is None:
         raise DimensionError("state needs a bipartite split")
-    phis = slice_vectors(state)
-    total = 0.0
-    for i in range(len(phis)):
-        for j in range(i + 1, len(phis)):
-            total += wedge_norm_sq(phis[i], phis[j])
-    return max(4.0 * total, 0.0)
+    return _i_concurrence_raw(slice_vectors(state))
 
 
 def _linear_entropy_raw(rho: np.ndarray) -> float:
@@ -128,6 +132,36 @@ def linear_entropy_sq(rho) -> float:
     if rho.shape[0] < 2:
         raise UnsupportedDimension("mixedness needs dim >= 2")
     return max(_linear_entropy_raw(rho), 0.0)
+
+
+def _density_measures(m, dims=(2, 3)):
+    """Validate ``m`` once: (normalized rho, raw P^2, raw C^2, raw M^2)."""
+    rho = _as_density(m, dims)
+    return rho, _predictability_raw(rho), _coherence_raw(rho), _linear_entropy_raw(rho)
+
+
+def _reduce(state: StateVector, keep: str = "A"):
+    """Reduced matrix of one factor of a pure bipartite state, and E^2.
+
+    E^2 is the squared concurrence on a (2, 2) split and otherwise the
+    I-concurrence over the rows of the amplitude table (its columns for
+    ``keep="B"``); the wedge sums are subsystem-symmetric.
+    """
+    dA, dB = state.split
+    rho = partial_trace(state.density(), dA, dB, keep=keep)
+    if state.split == (2, 2):
+        return rho, concurrence_2x2(state) ** 2
+    table = state.amplitudes.reshape(dA, dB)
+    return rho, _i_concurrence_raw(table if keep == "A" else table.T)
+
+
+def _measured_density(obj):
+    """The matrix ``obj`` is measured on, with E^2 for a bipartite state."""
+    if not isinstance(obj, StateVector):
+        return obj, None
+    if obj.split is None:
+        return obj.density(), None
+    return _reduce(obj)
 
 
 @dataclass(frozen=True)
@@ -157,41 +191,24 @@ def measure_report(obj, basis_label: str = "computational") -> MeasureReport:
     additionally carries the squared entanglement of the parent; single-
     system states and matrices are measured directly.
     """
-    entanglement = None
-    if isinstance(obj, StateVector):
-        if obj.split is not None:
-            dA, dB = obj.split
-            rho = partial_trace(obj.density(), dA, dB, keep="A")
-            if obj.split == (2, 2):
-                entanglement = concurrence_2x2(obj) ** 2
-            else:
-                entanglement = i_concurrence_sq(obj)
-        else:
-            rho = obj.density()
-    else:
-        rho = as_complex_matrix(obj)
-    rho = _as_density(rho)
+    rho, entanglement = _measured_density(obj)
+    rho, pred, coh, mix = _density_measures(rho)
     n = rho.shape[0]
 
-    raw = {
-        "predictability_sq": _predictability_raw(rho),
-        "coherence_hs_sq": _coherence_raw(rho),
-        "linear_entropy_sq": _linear_entropy_raw(rho),
-    }
+    raw = {"predictability_sq": pred, "coherence_hs_sq": coh, "linear_entropy_sq": mix}
     dpol = None
     if n == 2:
         raw["degree_pol_sq"] = stokes_extract(rho).norm_sq()
         dpol = max(raw["degree_pol_sq"], 0.0)
     if entanglement is not None:
         raw["entanglement_sq"] = entanglement
-        entanglement = max(entanglement, 0.0)
 
     return MeasureReport(
         dim_n=n,
-        predictability_sq=max(raw["predictability_sq"], 0.0),
-        coherence_hs_sq=max(raw["coherence_hs_sq"], 0.0),
+        predictability_sq=max(pred, 0.0),
+        coherence_hs_sq=max(coh, 0.0),
         degree_pol_sq=dpol,
-        linear_entropy_sq=max(raw["linear_entropy_sq"], 0.0),
+        linear_entropy_sq=max(mix, 0.0),
         entanglement_sq=entanglement,
         basis_label=basis_label,
         input_hash=fingerprint(obj),

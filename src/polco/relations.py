@@ -26,15 +26,8 @@ from .errors import (
     UnknownRelation,
     UnsupportedDimension,
 )
-from .linalg import StateVector, fingerprint, partial_trace
-from .measures import (
-    coherence_hs_sq,
-    concurrence_2x2,
-    degree_pol_sq,
-    i_concurrence_sq,
-    linear_entropy_sq,
-    predictability_sq,
-)
+from .linalg import StateVector, fingerprint
+from .measures import _density_measures, _reduce
 from .states import haar_pure, random_mixed
 from .tolerances import TAU_REL
 
@@ -94,6 +87,12 @@ def _require_state(state, context: str) -> None:
         )
 
 
+def _clamped_measures(m, dims=(2, 3)):
+    """Normalized rho and its P^2, C^2, M^2 with rounding residue clamped to 0."""
+    rho, *raw = _density_measures(m, dims)
+    return (rho, *(max(value, 0.0) for value in raw))
+
+
 def check_duality_pure(state: StateVector, tol: float = TAU_REL) -> RelationVerdict:
     """P^2 + C^2 = 1 (qubit) or 4/3 (qutrit) for pure single systems."""
     _require_state(state, "check_duality_pure")
@@ -101,18 +100,17 @@ def check_duality_pure(state: StateVector, tol: float = TAU_REL) -> RelationVerd
         raise PreconditionError("expected a single-system state, got a bipartite split")
     if state.dim not in (2, 3):
         raise UnsupportedDimension(f"duality is defined for dims 2 and 3, got {state.dim}")
-    rho = state.density()
-    lhs = predictability_sq(rho) + coherence_hs_sq(rho)
+    _, pred, coh, _ = _clamped_measures(state.density())
     rhs = 1.0 if state.dim == 2 else FOUR_THIRDS
     relation_id = "qubit-duality" if state.dim == 2 else "qutrit-duality"
-    return _verdict(relation_id, lhs, rhs, tol, fingerprint(state))
+    return _verdict(relation_id, pred + coh, rhs, tol, fingerprint(state))
 
 
 def check_pct(phi, tol: float = TAU_REL) -> RelationVerdict:
     """Polarization-coherence theorem: |S|^2 = P^2 + C^2 for any 2x2 density."""
-    lhs = degree_pol_sq(phi)
-    rhs = predictability_sq(phi) + coherence_hs_sq(phi)
-    return _verdict("pct", lhs, rhs, tol, fingerprint(phi))
+    rho, pred, coh, _ = _clamped_measures(phi, dims=(2,))
+    lhs = max(stokes_extract(rho).norm_sq(), 0.0)
+    return _verdict("pct", lhs, pred + coh, tol, fingerprint(phi))
 
 
 def check_qubit_triality_pure(
@@ -127,11 +125,8 @@ def check_qubit_triality_pure(
     _require_state(state, "check_qubit_triality_pure")
     if state.split != (2, 2):
         raise DimensionError(f"expected split (2, 2), got {state.split}")
-    rho = partial_trace(state.density(), 2, 2, keep=subsystem)
-    ent_sq = concurrence_2x2(state) ** 2
-    pred = predictability_sq(rho)
-    coh = coherence_hs_sq(rho)
-    mix = linear_entropy_sq(rho)
+    rho, ent_sq = _reduce(state, subsystem)
+    _, pred, coh, mix = _clamped_measures(rho)
     lhs = ent_sq + pred + coh
     extra = (abs(mix + coh + pred - 1.0), abs(ent_sq - mix))
     return _verdict("qubit-triality", lhs, 1.0, tol, fingerprint(state), extra)
@@ -148,18 +143,8 @@ def check_qutrit_triality_pure(
     _require_state(state, "check_qutrit_triality_pure")
     if state.split != (3, 3):
         raise DimensionError(f"expected split (3, 3), got {state.split}")
-    if subsystem == "B":
-        # wedge sums are subsystem-symmetric, so reuse the A-slice path
-        # on the transposed amplitude table
-        table = state.amplitudes.reshape(3, 3).T.copy()
-        state_for_ent = StateVector(table.reshape(-1), split=(3, 3))
-    else:
-        state_for_ent = state
-    rho = partial_trace(state.density(), 3, 3, keep=subsystem)
-    ent_sq = i_concurrence_sq(state_for_ent)
-    pred = predictability_sq(rho)
-    coh = coherence_hs_sq(rho)
-    mix = linear_entropy_sq(rho)
+    rho, ent_sq = _reduce(state, subsystem)
+    _, pred, coh, mix = _clamped_measures(rho)
     lhs = ent_sq + coh + pred
     extra = (abs(ent_sq - FOUR_THIRDS * mix),)
     return _verdict("qutrit-triality", lhs, FOUR_THIRDS, tol, fingerprint(state), extra)
@@ -170,11 +155,8 @@ def check_mixed_triality(rho, tol: float = TAU_REL) -> RelationVerdict:
 
     dim 2: M^2 + C^2 + P^2 = 1; dim 3: (4/3) M^2 + P^2 + C^2 = 4/3.
     """
-    pred = predictability_sq(rho)
-    coh = coherence_hs_sq(rho)
-    mix = linear_entropy_sq(rho)
-    n = np.asarray(rho).shape[0]
-    if n == 2:
+    normalized, pred, coh, mix = _clamped_measures(rho)
+    if normalized.shape[0] == 2:
         return _verdict("qubit-mixed-triality", mix + coh + pred, 1.0, tol, fingerprint(rho))
     return _verdict(
         "qutrit-mixed-triality", FOUR_THIRDS * mix + pred + coh, FOUR_THIRDS, tol, fingerprint(rho)
@@ -199,30 +181,17 @@ def check_pure_stokes_geometry(state: StateVector, tol: float = TAU_REL) -> Rela
 # Sampling campaigns
 # ---------------------------------------------------------------------------
 
-def _sample_pure(dim, split=None):
-    def sample(rng, index, params):
-        return haar_pure(dim, rng, split=split)
-
-    return sample
-
-
-def _sample_mixed(dim):
-    def sample(rng, index, params):
-        rank = params.get("rank") or (index % dim) + 1  # cycle ranks by default
-        return random_mixed(dim, rank, rng)
-
-    return sample
-
-
+# relation -> (check, dim, split, mixed); mixed relations sample density
+# matrices, of cycling rank unless a campaign pins one, the others pure states
 _RELATIONS = {
-    "qubit-duality": (check_duality_pure, _sample_pure(2)),
-    "qutrit-duality": (check_duality_pure, _sample_pure(3)),
-    "pct": (check_pct, _sample_mixed(2)),
-    "qubit-triality": (check_qubit_triality_pure, _sample_pure(4, split=(2, 2))),
-    "qutrit-triality": (check_qutrit_triality_pure, _sample_pure(9, split=(3, 3))),
-    "qubit-mixed-triality": (check_mixed_triality, _sample_mixed(2)),
-    "qutrit-mixed-triality": (check_mixed_triality, _sample_mixed(3)),
-    "stokes-geometry": (check_pure_stokes_geometry, _sample_pure(3)),
+    "qubit-duality": (check_duality_pure, 2, None, False),
+    "qutrit-duality": (check_duality_pure, 3, None, False),
+    "pct": (check_pct, 2, None, True),
+    "qubit-triality": (check_qubit_triality_pure, 4, (2, 2), False),
+    "qutrit-triality": (check_qutrit_triality_pure, 9, (3, 3), False),
+    "qubit-mixed-triality": (check_mixed_triality, 2, None, True),
+    "qutrit-mixed-triality": (check_mixed_triality, 3, None, True),
+    "stokes-geometry": (check_pure_stokes_geometry, 3, None, False),
 }
 
 
@@ -238,20 +207,30 @@ def run_campaign(
     Per-sample streams are spawned from the seed before evaluation, so
     the aggregation (max / mean / failure count) does not depend on
     evaluation order.  Failing verdicts are counted, never raised.
+    ``params={"rank": r}`` pins the rank, 1..dim, of the density
+    matrices sampled for pct and the mixed trialities.
     """
     if relation_id not in _RELATIONS:
         known = ", ".join(_RELATIONS)
         raise UnknownRelation(f"unknown relation {relation_id!r}; known: {known}")
     if n < 1:
         raise PreconditionError(f"campaign needs n >= 1, got {n}")
-    params = dict(params or {})
-    checker, sampler = _RELATIONS[relation_id]
+    checker, dim, split, mixed = _RELATIONS[relation_id]
+    rank = (params or {}).get("rank")
+    if rank is not None and not mixed:
+        raise PreconditionError(f"{relation_id} samples pure states; it takes no rank")
+    if rank is not None and not 1 <= rank <= dim:
+        raise PreconditionError(f"rank must be in 1..{dim} for {relation_id}, got {rank}")
     streams = np.random.SeedSequence(seed).spawn(n)
     residuals = np.empty(n)
     failures = 0
     for index, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        verdict = checker(sampler(rng, index, params), tol=tol)
+        if mixed:
+            sample = random_mixed(dim, index % dim + 1 if rank is None else rank, rng)
+        else:
+            sample = haar_pure(dim, rng, split=split)
+        verdict = checker(sample, tol=tol)
         residuals[index] = verdict.residual
         if not verdict.passed:
             failures += 1

@@ -66,7 +66,7 @@ def test_su3_imaginary_generators_are_hermitian():
 @pytest.mark.parametrize("n", [2, 3])
 def test_generators_traceless_hermitian_orthogonal(n):
     basis = generators(n)
-    assert basis.dim == n and len(basis) == n * n - 1
+    assert basis.shape == (n * n - 1, n, n)
     for i, gi in enumerate(basis):
         assert np.abs(gi - gi.conj().T).max() <= 1e-12
         assert abs(np.trace(gi)) <= 1e-12

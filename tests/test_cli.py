@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, formats, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ def test_analyze_unnormalized_state_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_analyze_nan_amplitude_exits_3(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dim": 3, "re": [NaN, 0.6, 0.0], "im": [0, 0, 0]}')
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 3 and out == ""
+    assert "invalid" in err
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_analyze_non_finite_matrix_exits_3_without_warnings(tmp_path, capsys, part, token):
+    entries = {"re": "0.5", "im": "0.0", part: token}
+    text = f'{{"dim": 2, "re": [[{entries["re"]}, 0], [0, 0.5]], "im": [[{entries["im"]}, 0], [0, 0]]}}'
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 3 and out == ""
+    assert "invalid" in err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_verify_unknown_relation_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--relation", "bogus", "--samples", "5")
     assert code == 2
@@ -131,6 +155,27 @@ def test_usage_error_exits_2(capsys):
 def test_verify_bad_samples_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--relation", "pct", "--samples", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_verify_tol_must_be_finite_and_positive(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "verify", "--relation", "qubit-duality", "--samples", "5", "--tol", tol
+    )
+    assert code == 2 and out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "relation,rank",
+    [("qutrit-mixed-triality", "0"), ("qutrit-triality", "2"), ("pct", "5")],
+)
+def test_verify_bad_rank_exits_2(capsys, relation, rank):
+    code, out, err = run_cli(
+        capsys, "verify", "--relation", relation, "--samples", "5", "--rank", rank
+    )
+    assert code == 2 and out == ""
+    assert "rank" in err
 
 
 # --- verify ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Matrix-core: validation, tensor structure, partial trace, wedge norms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,18 @@ def test_validate_unit_trace_flag():
     assert report.hermitian and report.psd
     assert not report.ok  # trace 2 flagged
     assert validate_density(np.eye(2), require_unit_trace=False).ok
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_validate_non_finite_reports_without_raising(bad):
+    m = np.eye(3, dtype=complex) / 3
+    m[0, 1] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = validate_density(m)
+    assert not (report.ok or report.hermitian or report.psd)
+    assert any("non-finite" in message for message in report.messages)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_validate_haar_reduced_matrices():
@@ -241,6 +255,12 @@ def test_state_vector_rejects_unnormalized():
         StateVector(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_vector_rejects_non_finite(bad):
+    with pytest.raises(ValidationError):
+        StateVector(np.array([bad, 0.6, 0.0]))
+
+
 def test_state_vector_rejects_bad_split():
     with pytest.raises(DimensionError):
         StateVector(np.array([1, 0, 0, 0]), split=(2, 3))
@@ -274,6 +294,14 @@ def test_state_json_without_split():
     doc = state_to_json(StateVector(np.array([1, 0])))
     assert "split" not in doc
     assert state_from_json(doc).split is None
+
+
+@pytest.mark.parametrize("token", [float("nan"), float("inf")])
+def test_json_readers_reject_non_finite(token):
+    with pytest.raises(ValidationError):
+        matrix_from_json({"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, token], [0, 0]]})
+    with pytest.raises(ValidationError):
+        state_from_json({"dim": 2, "re": [1.0, 0.0], "im": [0.0, token]})
 
 
 def test_matrix_json_shape_mismatch():

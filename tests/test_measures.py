@@ -12,6 +12,8 @@ from polco import (
     StateVector,
     UnsupportedDimension,
     ValidationError,
+    check_mixed_triality,
+    check_pct,
     coherence_hs_sq,
     concurrence_2x2,
     degree_pol_sq,
@@ -292,6 +294,21 @@ def test_measure_report_bounds_and_raw_metadata():
     assert report.predictability_sq <= FOUR_THIRDS + 1e-12
     assert report.coherence_hs_sq <= FOUR_THIRDS + 1e-12
     assert report.input_hash
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data(), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_intensity_scaling_leaves_measures_and_checks_unchanged(dim, data, seed, c):
+    rank = data.draw(st.integers(1, dim))
+    rho = random_mixed(dim, rank, seed)
+    base, scaled = measure_report(rho), measure_report(c * rho)
+    for key, value in base.raw.items():
+        assert scaled.raw[key] == pytest.approx(value, abs=1e-12), key
+    checks = [check_mixed_triality] + ([check_pct] if dim == 2 else [])
+    for check in checks:
+        a, b = check(rho), check(c * rho)
+        assert (b.lhs, b.rhs, b.residual) == pytest.approx((a.lhs, a.rhs, a.residual), abs=1e-12)
+        assert b.passed
 
 
 def test_report_json_carries_tolerances_and_hash():

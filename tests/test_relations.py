@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import polco.measures
 from polco import (
     DimensionError,
     PreconditionError,
@@ -251,6 +252,43 @@ def test_campaign_records_failures_without_raising():
 def test_campaign_rank_param():
     summary = run_campaign("qutrit-mixed-triality", 100, seed=14, params={"rank": 2})
     assert summary.failures == 0
+
+
+@pytest.mark.parametrize(
+    "relation,rank",
+    [("qutrit-mixed-triality", 0), ("qutrit-mixed-triality", 4), ("pct", 5), ("qutrit-triality", 2)],
+)
+def test_campaign_rejects_bad_rank(relation, rank):
+    with pytest.raises(PreconditionError):
+        run_campaign(relation, 5, seed=0, params={"rank": rank})
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Count density validations made through the measures layer."""
+    calls = []
+    original = polco.measures.validate_density
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polco.measures, "validate_density", counting)
+    return calls
+
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_each_campaign_sample_is_validated_once(validations, relation):
+    run_campaign(relation, 6, seed=17)
+    assert len(validations) == (0 if relation == "stokes-geometry" else 6)
+
+
+@pytest.mark.parametrize(
+    "checker,dim", [(check_qubit_triality_pure, 2), (check_qutrit_triality_pure, 3)]
+)
+def test_triality_subsystem_b_is_validated_once(validations, checker, dim):
+    checker(haar_pure(dim * dim, 3, split=(dim, dim)), subsystem="B")
+    assert len(validations) == 1
 
 
 def test_campaign_needs_positive_n():
