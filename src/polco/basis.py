@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension, ValidationError
-from .linalg import as_complex_matrix
+from .linalg import _norm_sq, as_complex_matrix
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM
 
 _SQRT3 = np.sqrt(3.0)
@@ -139,10 +139,15 @@ def stokes_extract(phi) -> StokesVector:
         raise ValidationError("matrix trace is ~0; cannot trace-normalize")
     if abs(trace - 1.0) > TAU_NORM:
         phi = phi / trace
-    lam = generators(n)
-    raw = np.einsum("kij,ji->k", lam, phi)  # Tr(g_k phi) for each k
+    return StokesVector(n, _stokes_components(phi))
+
+
+def _stokes_components(phi: np.ndarray) -> np.ndarray:
+    """Stokes components of a stack ``(..., n, n)`` of unit-trace Hermitian matrices."""
+    n = phi.shape[-1]
+    raw = np.einsum("kij,...ji->...k", generators(n), phi)  # Tr(g_k phi) for each k
     scale = 1.0 if n == 2 else _SQRT3 / 2.0
-    return StokesVector(n, scale * raw.real)
+    return scale * raw.real
 
 
 def stokes_reconstruct(s: StokesVector) -> np.ndarray:
@@ -176,12 +181,15 @@ def pure_state_constraints(s: StokesVector) -> PurityResiduals:
     """
     if s.n != 3:
         raise UnsupportedDimension(f"pure-state constraints apply to n=3, got n={s.n}")
-    comps = s.components
-    norm_residual = abs(float(comps @ comps) - 1.0)
-    d = structure_constants().d
-    quadratic = _SQRT3 * np.einsum("ijk,i,j->k", d, comps, comps)
-    dijk_residual = float(np.abs(quadratic - comps).max())
-    return PurityResiduals(norm_residual, dijk_residual)
+    norm_residual, dijk_residual = _purity_residuals(s.components)
+    return PurityResiduals(float(norm_residual), float(dijk_residual))
+
+
+def _purity_residuals(comps: np.ndarray):
+    """(norm, d_ijk) residuals of :func:`pure_state_constraints` over a stack ``(..., 8)``."""
+    norm_residual = np.abs(_norm_sq(comps) - 1.0)
+    quadratic = _SQRT3 * np.einsum("ijk,...i,...j->...k", structure_constants().d, comps, comps)
+    return norm_residual, np.abs(quadratic - comps).max(axis=-1)
 
 
 def stokes_to_json(s: StokesVector) -> dict:

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import matrix_from_json, matrix_to_json, state_from_json, state_to_json
-from .measures import _measured_density, measure_report, report_to_json
+from .measures import _measure, report_to_json
 from .relations import relation_ids, run_campaign, summary_to_json
 from .states import haar_pure, named_state, named_state_names, random_mixed
 from .tolerances import TAU_NUM, TAU_REL
@@ -133,8 +133,9 @@ def _cmd_analyze(args) -> int:
         obj = matrix_from_json(doc)
     else:
         obj = state_from_json(doc)
-    out_doc = report_to_json(measure_report(obj))
-    out_doc["stokes"] = stokes_to_json(stokes_extract(_measured_density(obj)[0]))
+    report, measured = _measure(obj)
+    out_doc = report_to_json(report)
+    out_doc["stokes"] = stokes_to_json(stokes_extract(measured))
     _emit(_render(out_doc, args.format), args.out)
     return 0
 
@@ -149,6 +150,8 @@ def _cmd_generate(args) -> int:
     elif args.kind == "mixed":
         if args.dim is None:
             raise ValueError("--kind mixed requires --dim")
+        if args.rank is not None and not 1 <= args.rank <= args.dim:
+            raise PreconditionError(f"--rank must be in 1..{args.dim}, got {args.rank}")
         rank = args.rank if args.rank is not None else args.dim
         doc = matrix_to_json(random_mixed(args.dim, rank, seed))
     else:

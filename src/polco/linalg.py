@@ -192,6 +192,11 @@ def wedge_norm_sq(u, v) -> float:
     return max(value, 0.0)
 
 
+def _norm_sq(v: np.ndarray) -> np.ndarray:
+    """Squared norms of a stack ``(..., k)`` of real vectors, rounded as ``v @ v`` rounds."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def fingerprint(obj) -> str:
     """Short content hash tying reports and verdicts to their input."""
     h = hashlib.sha256()

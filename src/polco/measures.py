@@ -5,53 +5,70 @@ presentation layer.  Matrix inputs are validated as density matrices and
 trace-normalized, so intensity scaling is harmless.  Negative rounding
 residue is clamped to zero on the way out; :func:`measure_report` keeps
 the raw values in its metadata.
+
+The private kernels take stacks, ``(..., n, n)`` matrices and
+``(..., dA, dB)`` amplitude tables, so one input and a campaign's stack
+of samples go through the same code.  Where a single input would reach
+numpy's scalar operators, which round some complex products and powers
+differently from the ufunc loops, the kernels call the ufunc
+(``np.multiply``, ``np.square``), so one input gets the bits it would
+get inside a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .basis import stokes_extract
+from .basis import _stokes_components
 from .errors import DimensionError, UnsupportedDimension, ValidationError
-from .linalg import (
-    StateVector,
-    as_complex_matrix,
-    fingerprint,
-    partial_trace,
-    slice_vectors,
-    validate_density,
-    wedge_norm_sq,
-)
+from .linalg import StateVector, _norm_sq, as_complex_matrix, fingerprint, validate_density
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM, TAU_PSD
 
 
 def _as_density(m, dims=(2, 3)) -> np.ndarray:
-    """Validate and trace-normalize a density matrix."""
-    m = as_complex_matrix(m)
-    n = m.shape[0]
+    """Validate and trace-normalize a stack ``(..., n, n)`` of density matrices.
+
+    One finiteness test, one Hermitian-defect reduction, one ``eigvalsh``
+    and one trace test cover the whole stack.  A failing stack raises the
+    error :func:`validate_density` reports for its first failing matrix.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    n = m.shape[-1]
     if dims is not None and n not in dims:
         raise UnsupportedDimension(f"expected dim in {dims}, got {n}")
-    report = validate_density(m, require_unit_trace=False)
-    if not (report.hermitian and report.psd):
-        raise ValidationError("; ".join(report.messages))
-    trace = report.trace.real
-    if trace <= TAU_NORM:
+    checked = m
+    if not np.isfinite(m).all():
+        # eigvalsh cannot take non-finite entries; a zeroed matrix fails the trace test
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        checked = np.where(finite[..., None, None], m, 0.0)
+    adjoint = checked.conj().swapaxes(-1, -2)
+    defect = np.abs(checked - adjoint).max(axis=(-2, -1))
+    min_eigenvalue = np.linalg.eigvalsh((checked + adjoint) / 2.0)[..., 0]
+    trace = checked.diagonal(0, -2, -1).real.sum(axis=-1)
+    ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace > TAU_NORM)
+    if np.count_nonzero(ok) < ok.size:  # the first failing matrix's report names the fault
+        report = validate_density(m[np.unravel_index(np.argmin(ok), ok.shape)], require_unit_trace=False)
+        if not (report.hermitian and report.psd):
+            raise ValidationError("; ".join(report.messages))
         raise ValidationError(f"trace {report.trace!r} is not positive")
-    if abs(trace - 1.0) > TAU_NORM:
-        m = m / trace
+    off = np.abs(trace - 1.0) > TAU_NORM
+    if np.count_nonzero(off):
+        m = m / np.where(off, trace, 1.0)[..., None, None]
     return m
 
 
-def _predictability_raw(phi: np.ndarray) -> float:
-    p = np.real(np.diag(phi))
-    n = p.size
-    sum_sq = float(p @ p)
-    cross = (float(p.sum()) ** 2 - sum_sq) / 2.0
+def _predictability_raw(phi: np.ndarray) -> np.ndarray:
+    p = phi.diagonal(0, -2, -1).real
+    n = p.shape[-1]
+    sum_sq = _norm_sq(p)
+    cross = (np.square(p.sum(axis=-1)) - sum_sq) / 2.0
     return (2.0 * (n - 1) / n) * (sum_sq - 2.0 * cross / (n - 1))
 
 
@@ -62,17 +79,24 @@ def predictability_sq(phi) -> float:
     with p_i the diagonal entries.  For n=2 this is (p_1 - p_2)^2; it
     vanishes for a uniform diagonal and peaks when a single p_i is 1.
     """
-    return max(_predictability_raw(_as_density(phi)), 0.0)
+    return max(float(_predictability_raw(_as_density(as_complex_matrix(phi)))), 0.0)
 
 
-def _coherence_raw(phi: np.ndarray) -> float:
-    off = phi - np.diag(np.diag(phi))
-    return 2.0 * float(np.sum(np.abs(off) ** 2))
+@lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _coherence_raw(phi: np.ndarray) -> np.ndarray:
+    off = phi * _off_diagonal(phi.shape[-1])
+    return 2.0 * (np.abs(off) ** 2).sum(axis=(-2, -1))
 
 
 def coherence_hs_sq(phi) -> float:
     """Hilbert-Schmidt coherence: 2 sum_{i != j} |phi_ij|^2."""
-    return max(_coherence_raw(_as_density(phi)), 0.0)
+    return max(float(_coherence_raw(_as_density(as_complex_matrix(phi)))), 0.0)
 
 
 def degree_pol_sq(phi) -> float:
@@ -81,8 +105,8 @@ def degree_pol_sq(phi) -> float:
     Equals predictability_sq + coherence_hs_sq (the polarization-
     coherence theorem); 1 on the Bloch surface, 0 at the center.
     """
-    phi = _as_density(phi, dims=(2,))
-    return max(stokes_extract(phi).norm_sq(), 0.0)
+    s = _stokes_components(_as_density(as_complex_matrix(phi), dims=(2,)))
+    return max(float(_norm_sq(s)), 0.0)
 
 
 def concurrence_2x2(state: StateVector) -> float:
@@ -92,16 +116,38 @@ def concurrence_2x2(state: StateVector) -> float:
     """
     if state.split != (2, 2):
         raise DimensionError(f"concurrence needs split (2, 2), got {state.split}")
-    a, b, c, d = state.amplitudes
-    return float(2.0 * abs(a * d - b * c))
+    return float(_concurrence(state.amplitudes.reshape(2, 2)))
 
 
-def _i_concurrence_raw(rows) -> float:
-    # pairwise wedge route, kept independent of the reduced state's purity
-    total = 0.0
-    for i, j in combinations(range(len(rows)), 2):
-        total += wedge_norm_sq(rows[i], rows[j])
-    return 4.0 * total
+def _concurrence(table: np.ndarray) -> np.ndarray:
+    """2 |a d - b c| over a stack of 2x2 amplitude tables."""
+    det = np.multiply(table[..., 0, 0], table[..., 1, 1]) - np.multiply(table[..., 0, 1], table[..., 1, 0])
+    return 2.0 * np.abs(det)
+
+
+def _gram(table: np.ndarray) -> np.ndarray:
+    """G_ij = <row_j|row_i> over a stack of tables: the reduced matrix of their rows."""
+    return (table[..., :, None, :] * table.conj()[..., None, :, :]).sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of every pair i < j below n."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _wedge_sum(gram: np.ndarray) -> np.ndarray:
+    """4 sum_{i<j} |phi_i ^ phi_j|^2 from Gram matrices, each pair clamped at 0.
+
+    |phi_i ^ phi_j|^2 = G_ii G_jj - |G_ij|^2: the wedge route, kept
+    independent of the reduced state's purity.
+    """
+    i, j = _pairs(gram.shape[-1])
+    norms = gram.diagonal(0, -2, -1)
+    pairs = (norms[..., i] * norms[..., j]).real - np.abs(gram[..., i, j]) ** 2
+    return 4.0 * np.maximum(pairs, 0.0).sum(axis=-1)
 
 
 def i_concurrence_sq(state: StateVector) -> float:
@@ -113,12 +159,12 @@ def i_concurrence_sq(state: StateVector) -> float:
     """
     if state.split is None:
         raise DimensionError("state needs a bipartite split")
-    return _i_concurrence_raw(slice_vectors(state))
+    return float(_wedge_sum(_gram(state.amplitudes.reshape(state.split))))
 
 
-def _linear_entropy_raw(rho: np.ndarray) -> float:
-    d = rho.shape[0]
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
+def _linear_entropy_raw(rho: np.ndarray) -> np.ndarray:
+    d = rho.shape[-1]
+    purity = np.einsum("...ij,...ji->...", rho, rho).real
     return (d / (d - 1.0)) * (1.0 - purity)
 
 
@@ -128,40 +174,32 @@ def linear_entropy_sq(rho) -> float:
     0 for pure states, 1 for the maximally mixed state; for d=2 it
     equals 4 det(rho).
     """
-    rho = _as_density(rho, dims=None)
+    rho = _as_density(as_complex_matrix(rho), dims=None)
     if rho.shape[0] < 2:
         raise UnsupportedDimension("mixedness needs dim >= 2")
-    return max(_linear_entropy_raw(rho), 0.0)
+    return max(float(_linear_entropy_raw(rho)), 0.0)
 
 
 def _density_measures(m, dims=(2, 3)):
-    """Validate ``m`` once: (normalized rho, raw P^2, raw C^2, raw M^2)."""
+    """Validate a stack once: (normalized rho, raw P^2, raw C^2, raw M^2)."""
     rho = _as_density(m, dims)
     return rho, _predictability_raw(rho), _coherence_raw(rho), _linear_entropy_raw(rho)
 
 
-def _reduce(state: StateVector, keep: str = "A"):
-    """Reduced matrix of one factor of a pure bipartite state, and E^2.
+def _reduce(table: np.ndarray, keep: str = "A"):
+    """Reduced matrices and E^2 of pure bipartite states, amplitude tables ``(..., dA, dB)``.
 
     E^2 is the squared concurrence on a (2, 2) split and otherwise the
-    I-concurrence over the rows of the amplitude table (its columns for
+    I-concurrence over the rows of the table (its columns for
     ``keep="B"``); the wedge sums are subsystem-symmetric.
     """
-    dA, dB = state.split
-    rho = partial_trace(state.density(), dA, dB, keep=keep)
-    if state.split == (2, 2):
-        return rho, concurrence_2x2(state) ** 2
-    table = state.amplitudes.reshape(dA, dB)
-    return rho, _i_concurrence_raw(table if keep == "A" else table.T)
-
-
-def _measured_density(obj):
-    """The matrix ``obj`` is measured on, with E^2 for a bipartite state."""
-    if not isinstance(obj, StateVector):
-        return obj, None
-    if obj.split is None:
-        return obj.density(), None
-    return _reduce(obj)
+    if keep not in ("A", "B"):
+        raise ValueError(f'keep must be "A" or "B", got {keep!r}')
+    rows = table if keep == "A" else table.swapaxes(-1, -2)
+    rho = _gram(rows)
+    if table.shape[-2:] == (2, 2):
+        return rho, np.square(_concurrence(table))
+    return rho, _wedge_sum(rho)
 
 
 @dataclass(frozen=True)
@@ -184,26 +222,28 @@ class MeasureReport:
     raw: Mapping[str, float]
 
 
-def measure_report(obj, basis_label: str = "computational") -> MeasureReport:
-    """Compute every applicable measure for a state or density matrix.
-
-    A bipartite ``StateVector`` is reduced to subsystem A first and
-    additionally carries the squared entanglement of the parent; single-
-    system states and matrices are measured directly.
-    """
-    rho, entanglement = _measured_density(obj)
-    rho, pred, coh, mix = _density_measures(rho)
+def _measure(obj, basis_label: str = "computational"):
+    """:func:`measure_report` and the matrix it measured, reduced once."""
+    measured, entanglement = obj, None
+    if isinstance(obj, StateVector) and obj.split is None:
+        measured = obj.density()
+    elif isinstance(obj, StateVector):
+        measured, entanglement = _reduce(obj.amplitudes.reshape(obj.split))
+        entanglement = float(entanglement)
+    rho, *raw_values = _density_measures(as_complex_matrix(measured))
+    pred, coh, mix = map(float, raw_values)
     n = rho.shape[0]
 
     raw = {"predictability_sq": pred, "coherence_hs_sq": coh, "linear_entropy_sq": mix}
     dpol = None
     if n == 2:
-        raw["degree_pol_sq"] = stokes_extract(rho).norm_sq()
+        s = _stokes_components(rho)
+        raw["degree_pol_sq"] = float(_norm_sq(s))
         dpol = max(raw["degree_pol_sq"], 0.0)
     if entanglement is not None:
         raw["entanglement_sq"] = entanglement
 
-    return MeasureReport(
+    report = MeasureReport(
         dim_n=n,
         predictability_sq=max(pred, 0.0),
         coherence_hs_sq=max(coh, 0.0),
@@ -214,6 +254,17 @@ def measure_report(obj, basis_label: str = "computational") -> MeasureReport:
         input_hash=fingerprint(obj),
         raw=MappingProxyType(raw),
     )
+    return report, measured
+
+
+def measure_report(obj, basis_label: str = "computational") -> MeasureReport:
+    """Compute every applicable measure for a state or density matrix.
+
+    A bipartite ``StateVector`` is reduced to subsystem A first and
+    additionally carries the squared entanglement of the parent; single-
+    system states and matrices are measured directly.
+    """
+    return _measure(obj, basis_label)[0]
 
 
 def report_to_json(report: MeasureReport) -> dict:

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from polco import matrix_to_json, named_state_names
+import polco.measures
+from polco import matrix_to_json, named_state, named_state_names, state_to_json
 from polco.cli import main
 
 
@@ -176,6 +177,32 @@ def test_verify_bad_rank_exits_2(capsys, relation, rank):
     )
     assert code == 2 and out == ""
     assert "rank" in err
+
+
+@pytest.mark.parametrize("dim,rank", [("3", "0"), ("3", "5"), ("2", "-1")])
+def test_generate_bad_rank_exits_2(tmp_path, capsys, dim, rank):
+    out_path = tmp_path / "rho.json"
+    code, _, err = run_cli(
+        capsys, "generate", "--kind", "mixed", "--dim", dim, "--rank", rank, "--out", str(out_path)
+    )
+    assert code == 2 and not out_path.exists()
+    assert "--rank" in err
+
+
+def test_analyze_reduces_a_bipartite_vector_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = polco.measures._reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polco.measures, "_reduce", counting)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(state_to_json(named_state("qutrit_max_entangled"))))
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 0 and json.loads(out)["entanglement_sq"] == pytest.approx(4 / 3)
+    assert len(calls) == 1
 
 
 # --- verify ------------------------------------------------------------------

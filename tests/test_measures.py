@@ -29,7 +29,9 @@ from polco import (
     report_to_json,
     stokes_extract,
     tensor,
+    validate_density,
 )
+from polco.measures import _density_measures
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -246,6 +248,36 @@ def test_linear_entropy_unitarily_invariant():
 def test_linear_entropy_rejects_invalid_density():
     with pytest.raises(ValidationError):
         linear_entropy_sq(np.diag([1.1, -0.1]))
+
+
+# --- stacks ------------------------------------------------------------------
+
+BAD_MATRICES = {
+    "non-psd": np.diag([1.2, -0.2, 0.0]),
+    "non-hermitian": np.array([[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]]),
+    "nan": np.diag([0.5, np.nan, 0.5]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MATRICES))
+@pytest.mark.parametrize("k", [0, 4, 6])
+def test_stack_raises_the_error_of_its_bad_matrix(kind, k):
+    stack = np.stack([random_mixed(3, i % 3 + 1, i) for i in range(7)])
+    stack[k] = BAD_MATRICES[kind]
+    expected = "; ".join(validate_density(stack[k], require_unit_trace=False).messages)
+    with pytest.raises(ValidationError) as caught:
+        _density_measures(stack.reshape(7, 1, 3, 3))
+    assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("first,second", [("nan", "non-psd"), ("non-psd", "nan")])
+def test_stack_reports_its_first_bad_matrix(first, second):
+    stack = np.stack([np.eye(3) / 3] * 5)
+    stack[1], stack[3] = BAD_MATRICES[first], BAD_MATRICES[second]
+    expected = "; ".join(validate_density(stack[1], require_unit_trace=False).messages)
+    with pytest.raises(ValidationError) as caught:
+        _density_measures(stack)
+    assert str(caught.value) == expected
 
 
 # --- global phase and report ----------------------------------------------

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polco.measures
+import polco.relations
 from polco import (
     DimensionError,
     PreconditionError,
@@ -29,6 +32,7 @@ from polco import (
     tensor,
     verdict_to_json,
 )
+from polco.relations import CHUNK
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -263,32 +267,112 @@ def test_campaign_rejects_bad_rank(relation, rank):
         run_campaign(relation, 5, seed=0, params={"rank": rank})
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_campaign_rejects_bad_tolerance(tol):
+    with pytest.raises(PreconditionError):
+        run_campaign("pct", 5, seed=0, tol=tol)
+
+
 @pytest.fixture
-def validations(monkeypatch):
-    """Count density validations made through the measures layer."""
+def validated(monkeypatch):
+    """Matrices per call of the batched density validator."""
     calls = []
-    original = polco.measures.validate_density
+    original = polco.measures._as_density
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(m, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(m)[:-2])))
+        return original(m, *args, **kwargs)
 
-    monkeypatch.setattr(polco.measures, "validate_density", counting)
+    monkeypatch.setattr(polco.measures, "_as_density", counting)
     return calls
 
 
 @pytest.mark.parametrize("relation", relation_ids())
-def test_each_campaign_sample_is_validated_once(validations, relation):
-    run_campaign(relation, 6, seed=17)
-    assert len(validations) == (0 if relation == "stokes-geometry" else 6)
+def test_each_campaign_sample_is_validated_once(validated, relation):
+    run_campaign(relation, CHUNK + 5, seed=17)
+    assert sum(validated) == (0 if relation == "stokes-geometry" else CHUNK + 5)
 
 
 @pytest.mark.parametrize(
     "checker,dim", [(check_qubit_triality_pure, 2), (check_qutrit_triality_pure, 3)]
 )
-def test_triality_subsystem_b_is_validated_once(validations, checker, dim):
+def test_triality_subsystem_b_is_validated_once(validated, checker, dim):
     checker(haar_pure(dim * dim, 3, split=(dim, dim)), subsystem="B")
-    assert len(validations) == 1
+    assert validated == [1]
+
+
+@pytest.mark.parametrize(
+    "checker,sample,matrices",
+    [
+        (check_duality_pure, haar_pure(3, 4), [1]),
+        (check_pct, random_mixed(2, 2, 4), [1]),
+        (check_qubit_triality_pure, haar_pure(4, 4, split=(2, 2)), [1]),
+        (check_qutrit_triality_pure, haar_pure(9, 4, split=(3, 3)), [1]),
+        (check_mixed_triality, random_mixed(3, 2, 4), [1]),
+        (check_pure_stokes_geometry, haar_pure(3, 4), []),
+    ],
+)
+def test_each_single_check_is_validated_once(validated, checker, sample, matrices):
+    checker(sample)
+    assert validated == matrices
+
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_campaign_evaluates_whole_chunks(validated, monkeypatch, relation):
+    # the campaign path never goes through a per-sample check_* or its fingerprint
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-sample call inside a campaign")
+
+    monkeypatch.setattr(polco.relations, "fingerprint", forbidden)
+    for name in dir(polco.relations):
+        if name.startswith("check_"):
+            monkeypatch.setattr(polco.relations, name, forbidden)
+    run_campaign(relation, 2 * CHUNK + 5, seed=3)
+    assert len(validated) <= 3
+    assert all(size <= CHUNK for size in validated)
+
+
+# relation -> (check, dim, split, mixed): the per-sample reference loop
+SAMPLED = {
+    "qubit-duality": (check_duality_pure, 2, None, False),
+    "qutrit-duality": (check_duality_pure, 3, None, False),
+    "pct": (check_pct, 2, None, True),
+    "qubit-triality": (check_qubit_triality_pure, 4, (2, 2), False),
+    "qutrit-triality": (check_qutrit_triality_pure, 9, (3, 3), False),
+    "qubit-mixed-triality": (check_mixed_triality, 2, None, True),
+    "qutrit-mixed-triality": (check_mixed_triality, 3, None, True),
+    "stokes-geometry": (check_pure_stokes_geometry, 3, None, False),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    relation=st.sampled_from(sorted(SAMPLED)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, CHUNK + 5),
+    rank=st.integers(0, 3),
+    tol=st.sampled_from([1e-9, 1e-15]),
+)
+@example(relation="qubit-triality", seed=3, n=CHUNK + 5, rank=0, tol=1e-15)
+@example(relation="qutrit-mixed-triality", seed=8, n=CHUNK + 1, rank=2, tol=1e-15)
+def test_campaign_equals_a_loop_of_single_checks(relation, seed, n, rank, tol):
+    check, dim, split, mixed = SAMPLED[relation]
+    rank = 1 + (rank - 1) % dim if mixed and rank else None
+    residuals, failures = [], 0
+    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        rng = np.random.default_rng(stream)
+        if mixed:
+            sample = random_mixed(dim, index % dim + 1 if rank is None else rank, rng)
+        else:
+            sample = haar_pure(dim, rng, split=split)
+        verdict = check(sample, tol=tol)
+        residuals.append(verdict.residual)
+        failures += not verdict.passed
+    params = None if rank is None else {"rank": rank}
+    summary = run_campaign(relation, n, seed, params=params, tol=tol)
+    assert summary.max_residual == max(residuals)
+    assert summary.mean_residual == float(np.mean(residuals))
+    assert summary.failures == failures
 
 
 def test_campaign_needs_positive_n():
