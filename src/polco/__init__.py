@@ -35,16 +35,13 @@ from .linalg import (
     ValidationReport,
     as_complex_matrix,
     fingerprint,
-    gram_matrix,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
-    slice_vectors,
     state_from_json,
     state_to_json,
     tensor,
     validate_density,
-    wedge_norm_sq,
 )
 from .measures import (
     MeasureReport,
@@ -83,71 +80,3 @@ from .states import (
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM, TAU_PSD, TAU_REL
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BeamSpec",
-    "CampaignSummary",
-    "DegenerateInput",
-    "DimensionError",
-    "MeasureReport",
-    "PolcoError",
-    "PreconditionError",
-    "PurityResiduals",
-    "RelationVerdict",
-    "StateVector",
-    "StokesVector",
-    "StructureConstants",
-    "TAU_HERM",
-    "TAU_NORM",
-    "TAU_NUM",
-    "TAU_PSD",
-    "TAU_REL",
-    "UnknownRelation",
-    "UnknownState",
-    "UnsupportedDimension",
-    "ValidationError",
-    "ValidationReport",
-    "as_complex_matrix",
-    "beam_to_state",
-    "check_duality_pure",
-    "check_mixed_triality",
-    "check_pct",
-    "check_pure_stokes_geometry",
-    "check_qubit_triality_pure",
-    "check_qutrit_triality_pure",
-    "coherence_hs_sq",
-    "concurrence_2x2",
-    "degree_pol_sq",
-    "fingerprint",
-    "generators",
-    "gram_matrix",
-    "haar_pure",
-    "haar_unitary",
-    "i_concurrence_sq",
-    "linear_entropy_sq",
-    "matrix_from_json",
-    "matrix_to_json",
-    "measure_report",
-    "named_state",
-    "named_state_names",
-    "partial_trace",
-    "predictability_sq",
-    "pure_state_constraints",
-    "random_mixed",
-    "relation_ids",
-    "report_to_json",
-    "run_campaign",
-    "slice_vectors",
-    "state_from_json",
-    "state_to_json",
-    "stokes_extract",
-    "stokes_from_json",
-    "stokes_reconstruct",
-    "stokes_to_json",
-    "structure_constants",
-    "summary_to_json",
-    "tensor",
-    "validate_density",
-    "verdict_to_json",
-    "wedge_norm_sq",
-]

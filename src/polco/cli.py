@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .basis import generators, stokes_extract, stokes_to_json, structure_constants
 from .errors import (
     DegenerateInput,
@@ -178,15 +180,9 @@ def _cmd_verify(args) -> int:
 
 
 def _tensor_nonzeros(tensor) -> list:
-    entries = []
-    size = tensor.shape[0]
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                value = float(tensor[i, j, k])
-                if abs(value) > TAU_NUM:
-                    entries.append([i + 1, j + 1, k + 1, value])  # 1-based indices
-    return entries
+    # [i, j, k, value] with 1-based indices, in index order; ints, since json cannot take np.int64
+    return [[int(i) + 1, int(j) + 1, int(k) + 1, float(tensor[i, j, k])]
+            for i, j, k in np.argwhere(np.abs(tensor) > TAU_NUM)]
 
 
 def _cmd_constants(args) -> int:

@@ -3,7 +3,9 @@
 Square complex ``numpy`` arrays are the carriers for coherence/density
 matrices and Hermitian generators; pure states travel as
 :class:`StateVector`.  Bipartite indices are always flattened row-major
-with subsystem A major: ``(i_A, i_B) -> i_A * dB + i_B``.
+with subsystem A major: ``(i_A, i_B) -> i_A * dB + i_B``.  Density
+checks (Hermitian defect, PSD, trace) are written once, over stacks,
+and read both as a :class:`ValidationReport` and by the measure kernel.
 """
 
 from __future__ import annotations
@@ -80,6 +82,46 @@ class ValidationReport:
         return self.hermitian and self.psd and not self.messages
 
 
+def _density_checks(m: np.ndarray):
+    """Per matrix of a ``(..., n, n)`` complex stack: Hermitian defect,
+    least eigenvalue of the Hermitian part, and trace.
+
+    The one place a density matrix is diagonalized: :func:`validate_density`
+    reads one matrix's values as a report, ``measures._as_density`` a
+    stack's as a pass or its first failure.  A matrix with non-finite
+    entries is not diagonalized, and all three of its values read NaN.
+    """
+    finite = None
+    if not np.isfinite(m).all():
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        m = np.where(finite[..., None, None], m, 0.0)  # eigvalsh cannot take non-finite entries
+    adjoint = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - adjoint).max(axis=(-2, -1))
+    min_eigenvalue = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
+    trace = m.diagonal(0, -2, -1).sum(axis=-1)
+    if finite is not None:
+        defect, min_eigenvalue, trace = (np.where(finite, x, np.nan) for x in (defect, min_eigenvalue, trace))
+    return defect, min_eigenvalue, trace
+
+
+def _density_report(defect, min_eigenvalue, trace, require_unit_trace: bool) -> ValidationReport:
+    """One matrix's :func:`_density_checks` values as a report."""
+    if np.isnan(defect):  # finite entries never give a NaN defect
+        nan = float("nan")
+        return ValidationReport(False, False, complex(nan, nan), nan, ("matrix has non-finite entries",))
+    defect, min_eigenvalue, trace = float(defect), float(min_eigenvalue), complex(trace)
+    messages = []
+    hermitian = defect <= TAU_HERM
+    if not hermitian:
+        messages.append(f"not Hermitian: max |M - M^dagger| = {defect:.3e}")
+    psd = min_eigenvalue >= -TAU_PSD
+    if not psd:
+        messages.append(f"not positive semi-definite: min eigenvalue = {min_eigenvalue:.3e}")
+    if require_unit_trace and abs(trace - 1.0) > TAU_NORM:
+        messages.append(f"trace = {trace!r}, not 1 within {TAU_NORM}")
+    return ValidationReport(hermitian, psd, trace, min_eigenvalue, tuple(messages))
+
+
 def validate_density(m, require_unit_trace: bool = True) -> ValidationReport:
     """Report Hermiticity, positive semi-definiteness, and trace of ``m``.
 
@@ -89,24 +131,7 @@ def validate_density(m, require_unit_trace: bool = True) -> ValidationReport:
     ``m`` so it stays meaningful (and deterministic) for slightly
     non-Hermitian input.
     """
-    m = as_complex_matrix(m)
-    if not np.isfinite(m).all():
-        nan = float("nan")
-        return ValidationReport(False, False, complex(nan, nan), nan, ("matrix has non-finite entries",))
-    messages = []
-    herm_defect = float(np.abs(m - m.conj().T).max())
-    hermitian = herm_defect <= TAU_HERM
-    if not hermitian:
-        messages.append(f"not Hermitian: max |M - M^dagger| = {herm_defect:.3e}")
-    eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    min_eigenvalue = float(eigenvalues[0])
-    psd = min_eigenvalue >= -TAU_PSD
-    if not psd:
-        messages.append(f"not positive semi-definite: min eigenvalue = {min_eigenvalue:.3e}")
-    trace = complex(np.trace(m))
-    if require_unit_trace and abs(trace - 1.0) > TAU_NORM:
-        messages.append(f"trace = {trace!r}, not 1 within {TAU_NORM}")
-    return ValidationReport(hermitian, psd, trace, min_eigenvalue, tuple(messages))
+    return _density_report(*_density_checks(as_complex_matrix(m)), require_unit_trace)
 
 
 def tensor(a, b):
@@ -148,48 +173,6 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, keep: str = "A") -> np.ndar
     if keep == "B":
         return np.einsum("abac->bc", blocks)
     raise ValueError(f'keep must be "A" or "B", got {keep!r}')
-
-
-def slice_vectors(state: StateVector, dA: int | None = None, dB: int | None = None) -> list[np.ndarray]:
-    """Subsystem slice vectors: row i of the A-major dA x dB reshape.
-
-    The i-th slice is the (unnormalized) dB-dimensional vector obtained
-    by fixing subsystem A in basis state i.  Their Gram matrix in the
-    orientation of :func:`gram_matrix` reproduces the reduced matrix of
-    subsystem A.
-    """
-    if dA is None or dB is None:
-        if state.split is None:
-            raise DimensionError("state has no split and none was given")
-        dA, dB = state.split
-    if dA < 1 or dB < 1 or dA * dB != state.dim:
-        raise DimensionError(f"split {dA}x{dB} incompatible with dim {state.dim}")
-    table = state.amplitudes.reshape(dA, dB)
-    return [table[i].copy() for i in range(dA)]
-
-
-def gram_matrix(vectors) -> np.ndarray:
-    """Gram matrix in reduced-matrix orientation: G[i, j] = <v_j|v_i>."""
-    k = len(vectors)
-    g = np.empty((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            g[i, j] = np.vdot(vectors[j], vectors[i])
-    return g
-
-
-def wedge_norm_sq(u, v) -> float:
-    """Squared wedge-product norm: |u|^2 |v|^2 - |<v|u>|^2.
-
-    Zero exactly when the vectors are parallel.  Tiny negatives from
-    floating-point cancellation are clamped to 0.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionError(f"expected equal-length vectors, got shapes {u.shape} and {v.shape}")
-    value = float((np.vdot(u, u) * np.vdot(v, v)).real - abs(np.vdot(v, u)) ** 2)
-    return max(value, 0.0)
 
 
 def _norm_sq(v: np.ndarray) -> np.ndarray:

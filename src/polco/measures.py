@@ -26,16 +26,16 @@ import numpy as np
 
 from .basis import _stokes_components
 from .errors import DimensionError, UnsupportedDimension, ValidationError
-from .linalg import StateVector, _norm_sq, as_complex_matrix, fingerprint, validate_density
+from .linalg import StateVector, _density_checks, _density_report, _norm_sq, as_complex_matrix, fingerprint
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM, TAU_PSD
 
 
 def _as_density(m, dims=(2, 3)) -> np.ndarray:
     """Validate and trace-normalize a stack ``(..., n, n)`` of density matrices.
 
-    One finiteness test, one Hermitian-defect reduction, one ``eigvalsh``
-    and one trace test cover the whole stack.  A failing stack raises the
-    error :func:`validate_density` reports for its first failing matrix.
+    The checks are :func:`validate_density`'s, run once over the whole
+    stack; a failing stack raises the error its first failing matrix's
+    report names.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
@@ -43,24 +43,20 @@ def _as_density(m, dims=(2, 3)) -> np.ndarray:
     n = m.shape[-1]
     if dims is not None and n not in dims:
         raise UnsupportedDimension(f"expected dim in {dims}, got {n}")
-    checked = m
-    if not np.isfinite(m).all():
-        # eigvalsh cannot take non-finite entries; a zeroed matrix fails the trace test
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        checked = np.where(finite[..., None, None], m, 0.0)
-    adjoint = checked.conj().swapaxes(-1, -2)
-    defect = np.abs(checked - adjoint).max(axis=(-2, -1))
-    min_eigenvalue = np.linalg.eigvalsh((checked + adjoint) / 2.0)[..., 0]
-    trace = checked.diagonal(0, -2, -1).real.sum(axis=-1)
-    ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace > TAU_NORM)
-    if np.count_nonzero(ok) < ok.size:  # the first failing matrix's report names the fault
-        report = validate_density(m[np.unravel_index(np.argmin(ok), ok.shape)], require_unit_trace=False)
+    defect, min_eigenvalue, trace = _density_checks(m)
+    ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace.real > TAU_NORM)
+    if np.count_nonzero(ok) < ok.size:
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        report = _density_report(defect[k], min_eigenvalue[k], trace[k], require_unit_trace=False)
         if not (report.hermitian and report.psd):
             raise ValidationError("; ".join(report.messages))
         raise ValidationError(f"trace {report.trace!r} is not positive")
-    off = np.abs(trace - 1.0) > TAU_NORM
+    # the divisor is the real diagonal's sum, not trace.real: the two round
+    # differently for n >= 4, and normalized values keep their bits across versions
+    scale = m.diagonal(0, -2, -1).real.sum(axis=-1)
+    off = np.abs(scale - 1.0) > TAU_NORM
     if np.count_nonzero(off):
-        m = m / np.where(off, trace, 1.0)[..., None, None]
+        m = m / np.where(off, scale, 1.0)[..., None, None]
     return m
 
 
@@ -153,9 +149,9 @@ def _wedge_sum(gram: np.ndarray) -> np.ndarray:
 def i_concurrence_sq(state: StateVector) -> float:
     """Squared I-concurrence: 4 sum_{i<j} |phi_i ^ phi_j|^2.
 
-    The phi_i are the subsystem-A slice vectors of the pure bipartite
-    state.  Defined for any split; on a (2, 2) split it coincides with
-    the squared concurrence.
+    The phi_i are the rows of the pure bipartite state's (dA, dB)
+    amplitude table.  Defined for any split; on a (2, 2) split it
+    coincides with the squared concurrence.
     """
     if state.split is None:
         raise DimensionError("state needs a bipartite split")

@@ -25,7 +25,8 @@ there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -263,21 +264,24 @@ def run_campaign(
     aggregation (max / mean / failure count) does not depend on
     evaluation order.  Failing samples are counted, never raised.
     ``params={"rank": r}`` pins the rank, 1..dim, of the density
-    matrices sampled for pct and the mixed trialities.  ``tol`` must be
-    finite and greater than 0.
+    matrices sampled for pct and the mixed trialities.  ``n`` and
+    ``rank`` must be integers, ``seed`` an integer >= 0 and ``tol`` a
+    finite real > 0; anything else raises :class:`PreconditionError`.
     """
     if relation_id not in _RELATIONS:
         known = ", ".join(_RELATIONS)
         raise UnknownRelation(f"unknown relation {relation_id!r}; known: {known}")
-    if n < 1:
-        raise PreconditionError(f"campaign needs n >= 1, got {n}")
-    if not (math.isfinite(tol) and tol > 0):
+    if not (isinstance(n, Integral) and n >= 1):
+        raise PreconditionError(f"campaign needs an integer n >= 1, got {n!r}")
+    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
     evaluate, dim, split, mixed = _RELATIONS[relation_id]
     rank = (params or {}).get("rank")
     if rank is not None and not mixed:
         raise PreconditionError(f"{relation_id} samples pure states; it takes no rank")
-    if rank is not None and not 1 <= rank <= dim:
+    if rank is not None and not (isinstance(rank, Integral) and 1 <= rank <= dim):
         raise PreconditionError(f"rank must be in 1..{dim} for {relation_id}, got {rank}")
     root = np.random.SeedSequence(seed)
     residuals = np.empty(n)
@@ -294,7 +298,7 @@ def run_campaign(
         residuals[start:start + len(streams)] = evaluate(samples)[2]
     return CampaignSummary(
         relation_id=relation_id,
-        n_samples=n,
+        n_samples=int(n),
         max_residual=float(residuals.max()),
         mean_residual=float(residuals.mean()),
         failures=int(np.count_nonzero(~(residuals <= tol))),
@@ -304,24 +308,8 @@ def run_campaign(
 
 
 def verdict_to_json(v: RelationVerdict) -> dict:
-    return {
-        "relation_id": v.relation_id,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "residual": v.residual,
-        "tolerance": v.tolerance,
-        "pass": v.passed,
-        "state_ref": v.state_ref,
-    }
+    return {("pass" if key == "passed" else key): value for key, value in asdict(v).items()}
 
 
 def summary_to_json(s: CampaignSummary) -> dict:
-    return {
-        "relation_id": s.relation_id,
-        "n_samples": s.n_samples,
-        "max_residual": s.max_residual,
-        "mean_residual": s.mean_residual,
-        "failures": s.failures,
-        "seed": s.seed,
-        "tolerance": s.tolerance,
-    }
+    return asdict(s)

@@ -87,7 +87,6 @@ def _rng_from(seed) -> np.random.Generator:
 
 def _complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard complex normals: (g1 + i g2) / sqrt(2), g1, g2 ~ N(0, 1)."""
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) / _SQRT2

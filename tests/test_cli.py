@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, formats, determinism."""
 
+import itertools
 import json
 import warnings
 
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 
 import polco.measures
-from polco import matrix_to_json, named_state, named_state_names, state_to_json
+from polco import (
+    TAU_NUM,
+    matrix_to_json,
+    named_state,
+    named_state_names,
+    state_to_json,
+    structure_constants,
+)
 from polco.cli import main
 
 
@@ -156,6 +164,12 @@ def test_usage_error_exits_2(capsys):
 def test_verify_bad_samples_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--relation", "pct", "--samples", "0")
     assert code == 2
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--relation", "pct", "--samples", "5", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
@@ -307,6 +321,14 @@ def test_constants_structure(capsys):
     d_entries = {tuple(entry[:3]): entry[3] for entry in doc["d_nonzero"]}
     assert d_entries[(1, 1, 8)] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
     assert (1, 1, 1) not in d_entries  # zero entries are pruned
+    consts = structure_constants()
+    for name, tensor in (("d_nonzero", consts.d), ("f_nonzero", consts.f)):
+        reference = [  # every entry above TAU_NUM, 1-based, in index order
+            [i + 1, j + 1, k + 1, float(tensor[i, j, k])]
+            for i, j, k in itertools.product(range(8), repeat=3)
+            if abs(tensor[i, j, k]) > TAU_NUM
+        ]
+        assert doc[name] == reference
     lam8 = doc["generators"]["3"][7]
     np.testing.assert_allclose(
         lam8["re"], (np.diag([1, 1, -2]) / np.sqrt(3)).tolist(), atol=1e-15

@@ -1,28 +1,27 @@
-"""Matrix-core: validation, tensor structure, partial trace, wedge norms."""
+"""Matrix-core: validation, tensor structure, partial trace, the wedge route of E^2."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polco import (
     DimensionError,
     StateVector,
     ValidationError,
-    gram_matrix,
     haar_pure,
+    i_concurrence_sq,
     matrix_from_json,
     matrix_to_json,
+    measure_report,
     partial_trace,
     random_mixed,
-    slice_vectors,
     state_from_json,
     state_to_json,
     tensor,
     validate_density,
-    wedge_norm_sq,
 )
 
 
@@ -176,48 +175,34 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(4) / 4, 2, 3, "A")
 
 
-# --- slice_vectors -----------------------------------------------------
-
-def test_slice_vectors_two_qubit_coefficients():
-    a, b, c, d = 0.5, 0.5j, -0.5, 0.5
-    state = StateVector(np.array([a, b, c, d]), split=(2, 2))
-    phi0, phi1 = slice_vectors(state)
-    np.testing.assert_allclose(phi0, [a, b])
-    np.testing.assert_allclose(phi1, [c, d])
-
-
-def test_slice_vectors_basis_state():
-    state = StateVector(np.array([1, 0, 0, 0]), split=(2, 2))
-    phi0, phi1 = slice_vectors(state)
-    np.testing.assert_allclose(phi0, [1, 0])
-    np.testing.assert_allclose(phi1, [0, 0])
-
+# --- rows of the amplitude table: Gram and wedge route ----------------------
 
 def test_slice_gram_matches_partial_trace():
+    # a bipartite report measures the Gram matrix of the table's rows
     for k in range(25):
         state = haar_pure(9, 3000 + k, split=(3, 3))
-        gram = gram_matrix(slice_vectors(state))
-        rho_a = partial_trace(state.density(), 3, 3, "A")
-        np.testing.assert_allclose(gram, rho_a, atol=1e-12)
+        report = measure_report(state)
+        reduced = measure_report(partial_trace(state.density(), 3, 3, "A"))
+        assert report.dim_n == reduced.dim_n == 3
+        for name in ("predictability_sq", "coherence_hs_sq", "linear_entropy_sq"):
+            assert abs(getattr(report, name) - getattr(reduced, name)) <= 1e-12
 
 
-def test_slice_vectors_requires_split():
-    with pytest.raises(DimensionError):
-        slice_vectors(StateVector(np.array([1, 0])))
-    with pytest.raises(DimensionError):
-        slice_vectors(StateVector(np.array([1, 0, 0, 0]), split=(2, 2)), dA=3, dB=3)
+def two_row_state(u, v):
+    """Normalized state of split (2, k) whose amplitude table has rows u and v."""
+    table = np.array([u, v], dtype=complex)
+    return StateVector(table.ravel() / np.linalg.norm(table), split=table.shape)
 
-
-# --- wedge_norm_sq -----------------------------------------------------
 
 def test_wedge_parallel_vectors():
     u = np.array([1 + 1j, 2, 3j])
-    assert wedge_norm_sq(u, u) == 0.0
-    assert wedge_norm_sq(u, 2.5 * u) <= 1e-12
+    assert i_concurrence_sq(two_row_state(u, u)) == 0.0
+    assert i_concurrence_sq(two_row_state(u, 2.5 * u)) <= 1e-12
 
 
 def test_wedge_orthonormal_pair():
-    assert wedge_norm_sq([1, 0, 0], [0, 1, 0]) == pytest.approx(1.0, abs=1e-15)
+    # rows e_0 / sqrt(2), e_1 / sqrt(2): 4 * (1/2 * 1/2 - 0)
+    assert i_concurrence_sq(two_row_state([1, 0, 0], [0, 1, 0])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_wedge_matches_minor_expansion():
@@ -225,12 +210,9 @@ def test_wedge_matches_minor_expansion():
     for _ in range(100):
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert abs(wedge_norm_sq(u, v) - wedge_by_minors(u, v)) <= 1e-12
-
-
-def test_wedge_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        wedge_norm_sq([1, 0], [1, 0, 0])
+        norm_sq = float(np.vdot(u, u).real + np.vdot(v, v).real)
+        expected = 4.0 * wedge_by_minors(u, v) / norm_sq**2
+        assert abs(i_concurrence_sq(two_row_state(u, v)) - expected) <= 1e-12
 
 
 finite_complex = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
@@ -240,12 +222,14 @@ finite_complex = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_inf
 @given(st.lists(finite_complex, min_size=2, max_size=4), st.floats(0, 2 * np.pi), st.data())
 def test_wedge_symmetric_and_phase_invariant(u, theta, data):
     v = data.draw(st.lists(finite_complex, min_size=len(u), max_size=len(u)))
-    u = np.asarray(u)
-    v = np.asarray(v)
-    # cancellation error scales with the subtracted magnitudes |u|^2 |v|^2
-    scale = max(float(np.vdot(u, u).real * np.vdot(v, v).real), 1.0)
-    assert abs(wedge_norm_sq(u, v) - wedge_norm_sq(v, u)) <= 1e-12 * scale
-    assert abs(wedge_norm_sq(np.exp(1j * theta) * u, v) - wedge_norm_sq(u, v)) <= 1e-12 * scale
+    assume(np.linalg.norm([u, v]) >= 1e-3)
+    e_sq = i_concurrence_sq(two_row_state(u, v))
+    assert abs(i_concurrence_sq(two_row_state(v, u)) - e_sq) <= 1e-12
+    assert abs(i_concurrence_sq(two_row_state(np.exp(1j * theta) * np.asarray(u), v)) - e_sq) <= 1e-12
+    # subsystem B: the same state with its table transposed
+    table = np.array([u, v], dtype=complex)
+    swapped = StateVector(table.T.ravel() / np.linalg.norm(table), split=table.T.shape)
+    assert abs(i_concurrence_sq(swapped) - e_sq) <= 1e-12
 
 
 # --- StateVector -------------------------------------------------------

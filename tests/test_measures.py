@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polco import (
+    TAU_NORM,
     DimensionError,
     StateVector,
     UnsupportedDimension,
@@ -31,7 +32,7 @@ from polco import (
     tensor,
     validate_density,
 )
-from polco.measures import _density_measures
+from polco.measures import _as_density, _density_measures
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -277,6 +278,51 @@ def test_stack_reports_its_first_bad_matrix(first, second):
     expected = "; ".join(validate_density(stack[1], require_unit_trace=False).messages)
     with pytest.raises(ValidationError) as caught:
         _density_measures(stack)
+    assert str(caught.value) == expected
+
+
+def matrix_of_kind(kind, n, seed):
+    """A random n x n matrix that is, or misses being, a density matrix in one way."""
+    rng = np.random.default_rng(seed)
+    m = random_mixed(n, int(rng.integers(1, n + 1)), rng)
+    if kind == "scaled":
+        return m * 10 ** rng.uniform(-3, 3)
+    if kind == "within-psd-slack":  # eigenvalues down to -5e-11 pass the PSD check
+        return m - 5e-11 * np.eye(n)
+    if kind == "non-hermitian":
+        m[0, n - 1] += 1e-6
+    elif kind == "non-psd":
+        m -= 0.5 * np.eye(n)
+    elif kind == "small-trace":
+        m *= 1e-11
+    elif kind == "zero-trace":
+        m *= 0.0
+    elif kind == "negated":
+        m = -m
+    elif kind == "non-finite":
+        m[int(rng.integers(n)), int(rng.integers(n))] = [np.nan, np.inf, complex(0, -np.inf)][int(rng.integers(3))]
+    return m
+
+
+MATRIX_KINDS = ("good", "scaled", "within-psd-slack", "non-hermitian", "non-psd", "small-trace",
+                "zero-trace", "negated", "non-finite")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.lists(st.sampled_from(MATRIX_KINDS), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_stack_is_accepted_iff_each_matrix_validates(n, kinds, seed):
+    mats = [matrix_of_kind(kind, n, seed + i) for i, kind in enumerate(kinds)]
+    reports = [validate_density(m, require_unit_trace=False) for m in mats]
+    passing = [r.ok and r.trace.real > TAU_NORM for r in reports]
+    if all(passing):
+        np.testing.assert_array_equal(_as_density(np.stack(mats)), np.stack([_as_density(m) for m in mats]))
+        return
+    first = reports[passing.index(False)]
+    # a matrix's own message: its report's faults, or its trace when only that fails
+    expected = "; ".join(first.messages) or f"trace {first.trace!r} is not positive"
+    with pytest.raises(ValidationError) as caught:
+        _as_density(np.stack(mats))
     assert str(caught.value) == expected
 
 

@@ -1,5 +1,7 @@
 """Relation checks and sampling campaigns."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,7 @@ from polco import (
     random_mixed,
     relation_ids,
     run_campaign,
+    summary_to_json,
     tensor,
     verdict_to_json,
 )
@@ -273,6 +276,17 @@ def test_campaign_rejects_bad_tolerance(tol):
         run_campaign("pct", 5, seed=0, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"n": 2.0}, {"n": "3"}, {"params": {"rank": 1.5}}, {"tol": "x"}, {"tol": 1j},
+     {"seed": "a"}, {"seed": -1}, {"seed": 1.0}],
+)
+def test_campaign_rejects_mistyped_arguments(bad):
+    arguments = {"relation_id": "pct", "n": 2, "seed": 0, **bad}
+    with pytest.raises(PreconditionError):
+        run_campaign(**arguments)
+
+
 @pytest.fixture
 def validated(monkeypatch):
     """Matrices per call of the batched density validator."""
@@ -392,3 +406,12 @@ def test_verdict_json_fields():
     assert doc["relation_id"] == "pct"
     assert doc["residual"] == abs(doc["lhs"] - doc["rhs"])
     assert doc["state_ref"]
+    assert list(doc) == ["relation_id", "lhs", "rhs", "residual", "tolerance", "pass", "state_ref"]
+
+
+def test_summary_json_fields():
+    doc = summary_to_json(run_campaign("pct", np.int64(3), np.int64(2)))
+    assert list(doc) == [
+        "relation_id", "n_samples", "max_residual", "mean_residual", "failures", "seed", "tolerance"
+    ]
+    assert json.loads(json.dumps(doc))["n_samples"] == 3  # numpy integers leave as ints

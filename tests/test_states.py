@@ -10,18 +10,16 @@ from polco import (
     UnknownState,
     beam_to_state,
     concurrence_2x2,
-    gram_matrix,
     haar_pure,
     haar_unitary,
+    i_concurrence_sq,
     linear_entropy_sq,
     named_state,
     named_state_names,
     partial_trace,
     predictability_sq,
     random_mixed,
-    slice_vectors,
     state_to_json,
-    wedge_norm_sq,
 )
 
 
@@ -54,12 +52,17 @@ def test_beam_rejects_all_zero():
 
 
 def test_beam_density_matches_slice_gram():
+    # the reduced matrix is the Gram matrix of the table's rows (a, b), (c, d),
+    # and E^2 on the wedge route is 2 (1 - Tr phi^2) by the Lagrange identity
     rng = np.random.default_rng(100)
     for _ in range(20):
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         state = beam_to_state(BeamSpec(*coeffs))
         phi = partial_trace(state.density(), 2, 2, "A")
-        np.testing.assert_allclose(gram_matrix(slice_vectors(state)), phi, atol=1e-12)
+        rows = state.amplitudes.reshape(2, 2)
+        np.testing.assert_allclose(rows @ rows.conj().T, phi, atol=1e-12)
+        purity = float(np.trace(phi @ phi).real)
+        assert abs(i_concurrence_sq(state) - 2.0 * (1.0 - purity)) <= 1e-12
 
 
 def test_beam_separability_iff_parallel_slices():
@@ -70,15 +73,17 @@ def test_beam_separability_iff_parallel_slices():
         factor = complex(rng.standard_normal() + 1j * rng.standard_normal())
         state = beam_to_state(BeamSpec(row[0], row[1], factor * row[0], factor * row[1]))
         assert concurrence_2x2(state) <= 1e-12
-        assert wedge_norm_sq(*slice_vectors(state)) <= 1e-12
+        assert i_concurrence_sq(state) <= 1e-12
+        assert np.linalg.eigvalsh(partial_trace(state.density(), 2, 2, "A"))[0] <= 1e-12
     for _ in range(20):
         # generic coefficients: almost surely inseparable
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         state = beam_to_state(BeamSpec(*coeffs))
         if concurrence_2x2(state) <= 1e-12:
-            assert wedge_norm_sq(*slice_vectors(state)) <= 1e-12
+            assert i_concurrence_sq(state) <= 1e-12
         else:
-            assert wedge_norm_sq(*slice_vectors(state)) > 1e-12
+            assert i_concurrence_sq(state) == pytest.approx(concurrence_2x2(state) ** 2, abs=1e-12)
+            assert i_concurrence_sq(state) > 0.0
 
 
 # --- named states --------------------------------------------------------
