@@ -10,6 +10,7 @@ decimal form in every output format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,7 +39,8 @@ def _default_seed() -> int:
     return int(os.environ.get("POLCO_SEED", "0"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built on the first call, then reused: main runs once per document in process
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polco",
         description="Polarization-coherence complementarity toolkit",
@@ -218,9 +220,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

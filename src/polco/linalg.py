@@ -43,9 +43,7 @@ class StateVector:
         amp = np.array(self.amplitudes, dtype=np.complex128)
         if amp.ndim != 1 or amp.size == 0:
             raise DimensionError(f"amplitudes must be a nonempty 1-d array, got shape {amp.shape}")
-        norm_sq = float(np.vdot(amp, amp).real)
-        if not abs(norm_sq - 1.0) <= TAU_NORM:  # also rejects NaN and infinite amplitudes
-            raise ValidationError(f"state norm^2 = {norm_sq!r}, not 1 within {TAU_NORM}")
+        _require_unit_norm(amp)
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         if self.split is not None:
@@ -61,6 +59,16 @@ class StateVector:
     def density(self) -> np.ndarray:
         """Rank-1 projector |psi><psi|."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
+
+
+def _require_unit_norm(amps: np.ndarray) -> None:
+    """Raise for the first vector of a ``(..., n)`` stack whose norm^2,
+    rounded as ``np.vdot`` rounds it, is not 1 within ``TAU_NORM``."""
+    with np.errstate(invalid="ignore", over="ignore"):  # np.vdot stays silent on inf too
+        norm_sq = (amps.conj()[..., None, :] @ amps[..., :, None])[..., 0, 0].real
+    ok = np.abs(norm_sq - 1.0) <= TAU_NORM  # False on NaN and infinite amplitudes too
+    if not ok.all():
+        raise ValidationError(f"state norm^2 = {float(norm_sq[~ok][0])!r}, not 1 within {TAU_NORM}")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ so ``passed`` covers all of them.
 
 Campaign streams are spawned ``CHUNK`` at a time from one
 ``np.random.SeedSequence(seed)``, which yields the same children as one
-``spawn(n)``.  Each chunk draws one sample per stream, stacks the
-samples and evaluates the stack at once, so a campaign holds at most one
-chunk of samples in memory whatever its size.
+``spawn(n)``.  Each stream draws its own sample's numbers, as the public
+samplers would; the chunk's unitaries (one stacked QR) and projectors
+are then built at once, with the bits the samplers give one sample at a
+time, and the stack is evaluated at once, so a campaign holds at most
+one chunk of samples in memory whatever its size.
 
 For mixed bipartite parents the concurrence-form triality is only an
 inequality and is deliberately not checked as an identity; the
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -37,9 +39,9 @@ from .errors import (
     UnknownRelation,
     UnsupportedDimension,
 )
-from .linalg import StateVector, _norm_sq, as_complex_matrix, fingerprint
+from .linalg import StateVector, _norm_sq, _require_unit_norm, as_complex_matrix, fingerprint
 from .measures import _density_measures, _reduce
-from .states import haar_pure, random_mixed
+from .states import _haar_amplitudes, _is_int, _mixed_stack
 from .tolerances import TAU_REL
 
 FOUR_THIRDS = 4.0 / 3.0
@@ -266,36 +268,36 @@ def run_campaign(
     ``params={"rank": r}`` pins the rank, 1..dim, of the density
     matrices sampled for pct and the mixed trialities.  ``n`` and
     ``rank`` must be integers, ``seed`` an integer >= 0 and ``tol`` a
-    finite real > 0; anything else raises :class:`PreconditionError`.
+    finite real > 0; anything else, bools included, raises
+    :class:`PreconditionError`.
     """
     if relation_id not in _RELATIONS:
         known = ", ".join(_RELATIONS)
         raise UnknownRelation(f"unknown relation {relation_id!r}; known: {known}")
-    if not (isinstance(n, Integral) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise PreconditionError(f"campaign needs an integer n >= 1, got {n!r}")
     if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
-    if not (isinstance(seed, Integral) and seed >= 0):
+    if not (_is_int(seed) and seed >= 0):
         raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
     evaluate, dim, split, mixed = _RELATIONS[relation_id]
     rank = (params or {}).get("rank")
     if rank is not None and not mixed:
         raise PreconditionError(f"{relation_id} samples pure states; it takes no rank")
-    if rank is not None and not (isinstance(rank, Integral) and 1 <= rank <= dim):
+    if rank is not None and not (_is_int(rank) and 1 <= rank <= dim):
         raise PreconditionError(f"rank must be in 1..{dim} for {relation_id}, got {rank}")
     root = np.random.SeedSequence(seed)
     residuals = np.empty(n)
     for start in range(0, n, CHUNK):
-        streams = root.spawn(min(CHUNK, n - start))
+        rngs = [np.random.default_rng(stream) for stream in root.spawn(min(CHUNK, n - start))]
         if mixed:
-            samples = np.stack([
-                random_mixed(dim, (start + i) % dim + 1 if rank is None else rank, stream)
-                for i, stream in enumerate(streams)
-            ])
+            ranks = [(start + i) % dim + 1 if rank is None else rank for i in range(len(rngs))]
+            samples = _mixed_stack(rngs, dim, ranks)
         else:
-            samples = np.stack([haar_pure(dim, stream).amplitudes for stream in streams])
-            samples = samples.reshape(len(streams), *(split or (dim,)))
-        residuals[start:start + len(streams)] = evaluate(samples)[2]
+            samples = np.stack([_haar_amplitudes(rng, dim) for rng in rngs])
+            _require_unit_norm(samples)
+            samples = samples.reshape(len(rngs), *(split or (dim,)))
+        residuals[start:start + len(rngs)] = evaluate(samples)[2]
     return CampaignSummary(
         relation_id=relation_id,
         n_samples=int(n),

@@ -5,11 +5,15 @@ fixed integer seed reproduces the sample stream bit-for-bit on the same
 build.  Campaign-style callers split streams with
 ``np.random.SeedSequence(seed).spawn(n)`` so per-sample generators stay
 independent of evaluation order.
+A sampler's stream only draws numbers; matrices are built from them
+over stacks, so a campaign chunk gets one QR and one projector sum per
+rank, with the bits the samplers give one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -85,6 +89,18 @@ def _rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool: True and False are no dimension, rank or seed."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _require_dim(caller: str, dim, least: int) -> None:
+    if not _is_int(dim):
+        raise DimensionError(f"{caller} needs an integer dim, got {dim!r}")
+    if dim < least:
+        raise DimensionError(f"{caller} needs dim >= {least}, got {dim}")
+
+
 def _complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard complex normals: (g1 + i g2) / sqrt(2), g1, g2 ~ N(0, 1)."""
     re = rng.standard_normal(shape)
@@ -92,22 +108,57 @@ def _complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / _SQRT2
 
 
+def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random amplitudes: a complex Gaussian vector over its own 1-d norm."""
+    z = _complex_gaussians(rng, dim)
+    return z / np.linalg.norm(z)
+
+
+def _mixed_draws(rng: np.random.Generator, dim: int, rank: int, equal_weights: bool = False):
+    """One stream's numbers for a density matrix, in draw order: the
+    (dim, dim) Ginibre sample, then the Dirichlet weights."""
+    z = _complex_gaussians(rng, (dim, dim))
+    weights = np.full(rank, 1.0 / rank) if equal_weights else rng.dirichlet(np.ones(rank))
+    return z, weights
+
+
+def _unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (..., n, n) Ginibre stack: QR, column k of Q times the
+    unit phase of r_kk (Mezzadri, Notices AMS 54, 592 (2007)).  Each matrix
+    is factored on its own, so a stack keeps every matrix's one-matrix bits."""
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal(0, -2, -1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k |u_k><u_k| over columns k < rank of (..., n, n) u and (..., rank) w."""
+    vecs = u[..., : weights.shape[-1]]
+    return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _mixed_stack(rngs, dim: int, ranks) -> np.ndarray:
+    """``random_mixed(dim, ranks[i], rngs[i])`` for every i, bit for bit: each
+    stream draws, then one QR and one projector sum per rank build the stack."""
+    draws = [_mixed_draws(rng, dim, rank) for rng, rank in zip(rngs, ranks)]
+    u = _unitaries(np.stack([z for z, _ in draws]))
+    out = np.empty_like(u)
+    for rank in set(ranks):  # not np.unique, whose first call imports numpy.ma
+        group = [i for i, r in enumerate(ranks) if r == rank]
+        out[group] = _mixed_from(u[group], np.stack([draws[i][1] for i in group]))
+    return out
+
+
 def haar_pure(dim: int, seed, split: tuple[int, int] | None = None) -> StateVector:
     """Haar-random pure state: a normalized complex Gaussian vector."""
-    if dim < 2:
-        raise DimensionError(f"haar_pure needs dim >= 2, got {dim}")
-    rng = _rng_from(seed)
-    z = _complex_gaussians(rng, dim)
-    return StateVector(z / np.linalg.norm(z), split=split)
+    _require_dim("haar_pure", dim, 2)
+    return StateVector(_haar_amplitudes(_rng_from(seed), dim), split=split)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary: phase-fixed QR of a Ginibre sample."""
-    rng = _rng_from(seed)
-    z = _complex_gaussians(rng, (dim, dim))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))  # scales column k by the unit phase of r_kk
+    _require_dim("haar_unitary", dim, 1)
+    return _unitaries(_complex_gaussians(_rng_from(seed), (dim, dim)))
 
 
 def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.ndarray:
@@ -118,13 +169,8 @@ def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.n
     to 1/rank with ``equal_weights``, in which case rank == dim gives
     the maximally mixed state).
     """
-    if not 1 <= rank <= dim:
-        raise DimensionError(f"rank must be in 1..{dim}, got {rank}")
-    rng = _rng_from(seed)
-    u = haar_unitary(dim, rng)
-    if equal_weights:
-        weights = np.full(rank, 1.0 / rank)
-    else:
-        weights = rng.dirichlet(np.ones(rank))
-    vecs = u[:, :rank]
-    return (vecs * weights) @ vecs.conj().T
+    _require_dim("random_mixed", dim, 1)
+    if not (_is_int(rank) and 1 <= rank <= dim):
+        raise DimensionError(f"rank must be in 1..{dim}, got {rank!r}")
+    z, weights = _mixed_draws(_rng_from(seed), dim, rank, equal_weights)
+    return _mixed_from(_unitaries(z), weights)

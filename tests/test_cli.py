@@ -1,12 +1,15 @@
 """CLI contract: subcommands, exit codes, formats, determinism."""
 
+import argparse
 import itertools
 import json
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import polco.cli
 import polco.measures
 from polco import (
     TAU_NUM,
@@ -159,6 +162,34 @@ def test_generate_unknown_name_exits_2(tmp_path, capsys):
 def test_usage_error_exits_2(capsys):
     assert run_cli(capsys, "analyze")[0] == 2  # missing --input
     assert run_cli(capsys, "nonsense")[0] == 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(polco.cli, "argparse", types.SimpleNamespace(ArgumentParser=Counting))
+    polco.cli._parser.cache_clear()
+    try:
+        calls = (["constants"], ["verify", "--relation", "pct", "--samples", "3"], ["analyze"])
+        for argv in calls * 3:
+            run_cli(capsys, *argv)
+        assert built.count("polco") == 1
+    finally:
+        polco.cli._parser.cache_clear()  # drop the parser built from the counting class
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    argv = ("verify", "--relation", "pct", "--samples", "20")
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, "verify", "--relation", "pct", "--samples", "x")[0] == 2
+    assert run_cli(capsys, *argv, "--seed", "5", "--tol", "1e-3")[0] == 0
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_verify_bad_samples_exits_2(capsys):

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polco.linalg
 import polco.measures
 import polco.relations
+import polco.states
 from polco import (
     DimensionError,
     PreconditionError,
     StateVector,
     UnknownRelation,
+    ValidationError,
     check_duality_pure,
     check_mixed_triality,
     check_pct,
@@ -279,7 +282,8 @@ def test_campaign_rejects_bad_tolerance(tol):
 @pytest.mark.parametrize(
     "bad",
     [{"n": 2.0}, {"n": "3"}, {"params": {"rank": 1.5}}, {"tol": "x"}, {"tol": 1j},
-     {"seed": "a"}, {"seed": -1}, {"seed": 1.0}],
+     {"seed": "a"}, {"seed": -1}, {"seed": 1.0},
+     {"n": True}, {"seed": True}, {"seed": False}, {"params": {"rank": True}}],
 )
 def test_campaign_rejects_mistyped_arguments(bad):
     arguments = {"relation_id": "pct", "n": 2, "seed": 0, **bad}
@@ -344,6 +348,91 @@ def test_campaign_evaluates_whole_chunks(validated, monkeypatch, relation):
     run_campaign(relation, 2 * CHUNK + 5, seed=3)
     assert len(validated) <= 3
     assert all(size <= CHUNK for size in validated)
+
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_campaign_samples_whole_chunks(monkeypatch, relation):
+    # one stacked QR per chunk, and no public sampler or StateVector per sample
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-sample sampler inside a campaign")
+
+    for module in (polco.states, polco.relations, polco.linalg):
+        for name in ("random_mixed", "haar_unitary", "haar_pure", "StateVector"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(z, *args, **kwargs):
+        qr_calls.append(z.shape)
+        return qr(z, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    run_campaign(relation, 2 * CHUNK + 5, seed=3)
+    mixed = polco.relations._RELATIONS[relation][3]
+    assert len(qr_calls) == (3 if mixed else 0)
+
+
+def _campaign_stacks(monkeypatch, relation, n, seed, params=None):
+    """The sample stacks a campaign evaluates, concatenated."""
+    evaluate, *entry = polco.relations._RELATIONS[relation]
+    stacks = []
+
+    def capture(samples):
+        stacks.append(samples.copy())
+        return evaluate(samples)
+
+    monkeypatch.setitem(polco.relations._RELATIONS, relation, (capture, *entry))
+    run_campaign(relation, n, seed, params=params)
+    return np.concatenate(stacks)
+
+
+@pytest.mark.parametrize(
+    "relation,rank",
+    [("qubit-mixed-triality", None), ("pct", 1), ("pct", 2), ("qutrit-mixed-triality", None),
+     ("qutrit-mixed-triality", 1), ("qutrit-mixed-triality", 2), ("qutrit-mixed-triality", 3)],
+)
+def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, relation, rank):
+    dim, n = polco.relations._RELATIONS[relation][1], CHUNK + 5
+    params = None if rank is None else {"rank": rank}
+    stacks = _campaign_stacks(monkeypatch, relation, n, 21, params)
+    streams = np.random.SeedSequence(21).spawn(n)
+    expected = np.stack([
+        random_mixed(dim, i % dim + 1 if rank is None else rank, np.random.default_rng(stream))
+        for i, stream in enumerate(streams)
+    ])
+    assert stacks.shape == (n, dim, dim)
+    assert stacks.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "relation", ["qubit-duality", "qutrit-duality", "qubit-triality", "qutrit-triality"]
+)
+def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, relation):
+    dim, split, n = *polco.relations._RELATIONS[relation][1:3], CHUNK + 5
+    stacks = _campaign_stacks(monkeypatch, relation, n, 22)
+    streams = np.random.SeedSequence(22).spawn(n)
+    expected = np.stack([haar_pure(dim, np.random.default_rng(s)).amplitudes for s in streams])
+    assert stacks.shape == (n, *(split or (dim,)))
+    assert stacks.tobytes() == expected.tobytes()
+
+
+def test_campaign_rejects_an_unnormalized_sample(monkeypatch):
+    # the stacked unit-norm test raises what StateVector raises for that sample
+    drawn = []
+    original = polco.relations._haar_amplitudes
+
+    def drifting(rng, dim):
+        amps = original(rng, dim)
+        drawn.append(amps)
+        return amps * (1.0 + 1e-6) if len(drawn) == CHUNK + 2 else amps
+
+    monkeypatch.setattr(polco.relations, "_haar_amplitudes", drifting)
+    with pytest.raises(ValidationError) as raised:
+        run_campaign("qutrit-duality", CHUNK + 5, seed=4)
+    with pytest.raises(ValidationError) as expected:
+        StateVector(drawn[CHUNK + 1] * (1.0 + 1e-6))
+    assert str(raised.value) == str(expected.value)
 
 
 # relation -> (check, dim, split, mixed): the per-sample reference loop

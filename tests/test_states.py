@@ -140,6 +140,12 @@ def test_haar_pure_rejects_dim_one():
         haar_pure(1, 0)
 
 
+@pytest.mark.parametrize("dim", [0, -1, 2.5, 3.0, True, "3"])
+def test_haar_pure_rejects_non_integer_or_small_dim(dim):
+    with pytest.raises(DimensionError):
+        haar_pure(dim, 0)
+
+
 def test_haar_qubit_bloch_axis_unbiased():
     # S3 of a Haar qubit is uniform on [-1, 1]: mean 0, variance 1/3
     n = 10_000
@@ -173,6 +179,12 @@ def test_haar_unitary_is_unitary():
     for dim in (2, 3, 9):
         u = haar_unitary(dim, 55)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True, None])
+def test_haar_unitary_rejects_bad_dim(dim):
+    with pytest.raises(DimensionError):
+        haar_unitary(dim, 0)
 
 
 # --- random mixed states ----------------------------------------------------
@@ -214,3 +226,9 @@ def test_random_mixed_rejects_bad_rank():
         random_mixed(3, 4, 0)
     with pytest.raises(DimensionError):
         random_mixed(3, 0, 0)
+
+
+@pytest.mark.parametrize("dim,rank", [(2, 1.5), (2, 1.0), (2, True), (2.5, 1), (0, 1), (True, 1)])
+def test_random_mixed_rejects_non_integer_dim_or_rank(dim, rank):
+    with pytest.raises(DimensionError):
+        random_mixed(dim, rank, 0)
