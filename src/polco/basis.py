@@ -1,9 +1,9 @@
 """Traceless Hermitian generator sets and Stokes-vector algebra.
 
 Both supported bases are normalized to Tr(g_i g_j) = 2 delta_ij.  A
-unit-trace 2x2 matrix expands as Phi = (I + sum_i S_i sigma_i)/2 with
-S_i = Tr(Phi sigma_i); a unit-trace 3x3 matrix expands as
-Phi = (I + sqrt(3) sum_i S_i g_i)/3 with S_i = sqrt(3) Tr(g_i Phi)/2.
+unit-trace n x n matrix has S_i = Tr(g_i Phi)/sqrt(kappa(n)), kappa(n) =
+2(n - 1)/n (S_i = Tr(Phi sigma_i) for n = 2, sqrt(3) Tr(g_i Phi)/2 for
+n = 3), and expands as Phi = (I + sqrt(n(n - 1)/2) sum_i S_i g_i)/n.
 The two imaginary off-diagonal SU(3) generators carry -i above the
 diagonal and +i below, keeping every generator Hermitian.
 ``generators(n)`` returns the basis as one read-only (n^2 - 1, n, n)
@@ -12,6 +12,7 @@ array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension, ValidationError
-from .linalg import _norm_sq, as_complex_matrix
+from .linalg import _is_int, _norm_sq, as_complex_matrix
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM
 
 _SQRT3 = np.sqrt(3.0)
@@ -55,7 +56,7 @@ def generators(n: int) -> np.ndarray:
 
     Returns one shared read-only (n^2 - 1, n, n) array.
     """
-    if n not in _GENERATORS:
+    if not _is_int(n) or n not in _GENERATORS:
         raise UnsupportedDimension(f"generator sets exist for n in {{2, 3}}, got {n}")
     return _GENERATORS[n]
 
@@ -72,13 +73,10 @@ class StokesVector:
     components: np.ndarray
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise UnsupportedDimension(f"Stokes vectors exist for n in {{2, 3}}, got {self.n}")
+        count = len(generators(self.n))  # raises UnsupportedDimension outside n in {2, 3}
         comp = np.array(self.components, dtype=np.float64)
-        if comp.shape != (self.n * self.n - 1,):
-            raise DimensionError(
-                f"need {self.n * self.n - 1} components for n={self.n}, got shape {comp.shape}"
-            )
+        if comp.shape != (count,):
+            raise DimensionError(f"need {count} components for n={self.n}, got shape {comp.shape}")
         if not np.all(np.isfinite(comp)):
             raise ValidationError("Stokes components must be finite")
         comp.flags.writeable = False
@@ -128,9 +126,7 @@ def stokes_extract(phi) -> StokesVector:
     stays with the caller as metadata.  Positivity is not required.
     """
     phi = as_complex_matrix(phi)
-    n = phi.shape[0]
-    if n not in (2, 3):
-        raise UnsupportedDimension(f"Stokes extraction exists for dims 2 and 3, got {n}")
+    generators(phi.shape[0])  # raises UnsupportedDimension outside n in {2, 3}
     defect = float(np.abs(phi - phi.conj().T).max())
     if defect > TAU_HERM:
         raise ValidationError(f"matrix is not Hermitian: max defect {defect:.3e}")
@@ -139,15 +135,14 @@ def stokes_extract(phi) -> StokesVector:
         raise ValidationError("matrix trace is ~0; cannot trace-normalize")
     if abs(trace - 1.0) > TAU_NORM:
         phi = phi / trace
-    return StokesVector(n, _stokes_components(phi))
+    return StokesVector(phi.shape[0], _stokes_components(phi))
 
 
 def _stokes_components(phi: np.ndarray) -> np.ndarray:
     """Stokes components of a stack ``(..., n, n)`` of unit-trace Hermitian matrices."""
     n = phi.shape[-1]
     raw = np.einsum("kij,...ji->...k", generators(n), phi)  # Tr(g_k phi) for each k
-    scale = 1.0 if n == 2 else _SQRT3 / 2.0
-    return scale * raw.real
+    return math.sqrt(n / (2.0 * (n - 1))) * raw.real  # 1/sqrt(kappa(n))
 
 
 def stokes_reconstruct(s: StokesVector) -> np.ndarray:
@@ -157,11 +152,9 @@ def stokes_reconstruct(s: StokesVector) -> np.ndarray:
     result need not be positive semi-definite; validate before using it
     as a density matrix.
     """
-    lam = generators(s.n)
-    weighted = np.einsum("k,kij->ij", s.components, lam)
-    if s.n == 2:
-        return (np.eye(2) + weighted) / 2.0
-    return (np.eye(3) + _SQRT3 * weighted) / 3.0
+    n = s.n
+    weighted = np.einsum("k,kij->ij", s.components, generators(n))
+    return (np.eye(n) + math.sqrt(n * (n - 1) / 2.0) * weighted) / n
 
 
 class PurityResiduals(NamedTuple):
@@ -197,4 +190,6 @@ def stokes_to_json(s: StokesVector) -> dict:
 
 
 def stokes_from_json(doc: dict) -> StokesVector:
-    return StokesVector(int(doc["n"]), np.asarray(doc["s"], dtype=np.float64))
+    if not _is_int(doc["n"]):
+        raise ValueError(f"stokes document needs an integer n, got {doc['n']!r}")
+    return StokesVector(doc["n"], np.asarray(doc["s"], dtype=np.float64))

@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .tolerances import TAU_HERM, TAU_NORM, TAU_PSD
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool: True and False are no dimension, rank or seed."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -214,12 +220,12 @@ def matrix_to_json(m) -> dict:
 
 
 def _complex_from_json(doc: dict, ndim: int) -> np.ndarray:
-    dim = int(doc["dim"])
+    dim = doc["dim"]
     re = np.asarray(doc["re"], dtype=np.float64)
     im = np.asarray(doc["im"], dtype=np.float64)
-    if re.shape != (dim,) * ndim or im.shape != (dim,) * ndim:
+    if not _is_int(dim) or re.shape != (dim,) * ndim or im.shape != (dim,) * ndim:
         kind = "matrix" if ndim == 2 else "vector"
-        raise ValueError(f"{kind} document claims dim {dim} but carries shapes {re.shape}, {im.shape}")
+        raise ValueError(f"{kind} document claims dim {dim!r} but carries shapes {re.shape}, {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValidationError("document holds non-finite values")
     return re + 1j * im
@@ -243,6 +249,6 @@ def state_to_json(state: StateVector) -> dict:
 def state_from_json(doc: dict) -> StateVector:
     amplitudes = _complex_from_json(doc, ndim=1)
     split = doc.get("split")
-    if split is not None:
-        split = (int(split[0]), int(split[1]))
+    if split is not None and not (isinstance(split, list) and len(split) == 2 and all(map(_is_int, split))):
+        raise ValueError(f"split must be a list of two integers, got {split!r}")
     return StateVector(amplitudes, split=split)

@@ -60,12 +60,17 @@ def _as_density(m, dims=(2, 3)) -> np.ndarray:
     return m
 
 
+def _kappa(n: int) -> float:
+    """2(n - 1)/n: the scale of P^2, and P^2 + C^2 of a pure n x n state."""
+    return 2.0 * (n - 1) / n
+
+
 def _predictability_raw(phi: np.ndarray) -> np.ndarray:
     p = phi.diagonal(0, -2, -1).real
     n = p.shape[-1]
     sum_sq = _norm_sq(p)
     cross = (np.square(p.sum(axis=-1)) - sum_sq) / 2.0
-    return (2.0 * (n - 1) / n) * (sum_sq - 2.0 * cross / (n - 1))
+    return _kappa(n) * (sum_sq - 2.0 * cross / (n - 1))
 
 
 def predictability_sq(phi) -> float:
@@ -176,9 +181,9 @@ def linear_entropy_sq(rho) -> float:
     return max(float(_linear_entropy_raw(rho)), 0.0)
 
 
-def _density_measures(m, dims=(2, 3)):
+def _density_measures(m):
     """Validate a stack once: (normalized rho, raw P^2, raw C^2, raw M^2)."""
-    rho = _as_density(m, dims)
+    rho = _as_density(m)
     return rho, _predictability_raw(rho), _coherence_raw(rho), _linear_entropy_raw(rho)
 
 

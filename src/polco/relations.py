@@ -1,14 +1,18 @@
 """Verification engine for the complementarity identities.
 
-Each relation is defined once, as a function from a stack of samples to
-``(lhs, rhs, residual)`` arrays.  A ``check_*`` evaluates it on its one
-input and returns a :class:`RelationVerdict`; ``run_campaign`` evaluates
-it on stacks of seeded random samples and aggregates the residuals
-without ever raising on an individual failure.  For single-clause
-relations the residual is |lhs - rhs|; the two pure-triality relations
-also verify their companion clauses (the mixedness form and the
-entanglement-mixedness agreement) and report the worst clause residual,
-so ``passed`` covers all of them.
+Every identity is one formula in the matrix dimension n, through
+kappa(n) = 2(n - 1)/n (1 for qubits, 4/3 for qutrits): the duality
+P^2 + C^2 = kappa, the mixedness triality kappa M^2 + P^2 + C^2 = kappa
+and the pure triality E^2 + C^2 + P^2 = kappa.  Each relation is one
+function from a stack of samples to ``(lhs, rhs, residual)`` arrays,
+listed in ``_RELATIONS`` with the shape of its samples.  A ``check_*``
+evaluates it on its one input and returns a :class:`RelationVerdict`;
+``run_campaign`` evaluates it on stacks of seeded random samples and
+aggregates the residuals without ever raising on an individual failure.
+For single-clause relations the residual is |lhs - rhs|; both pure
+trialities also check the mixedness triality of the reduced state and
+E^2 = kappa M^2, and report the worst of the three clause residuals, so
+``passed`` covers all of them.
 
 Campaign streams are spawned ``CHUNK`` at a time from one
 ``np.random.SeedSequence(seed)``, which yields the same children as one
@@ -39,12 +43,11 @@ from .errors import (
     UnknownRelation,
     UnsupportedDimension,
 )
-from .linalg import StateVector, _norm_sq, _require_unit_norm, as_complex_matrix, fingerprint
-from .measures import _density_measures, _reduce
-from .states import _haar_amplitudes, _is_int, _mixed_stack
+from .linalg import StateVector, _is_int, _norm_sq, _require_unit_norm, as_complex_matrix, fingerprint
+from .measures import _density_measures, _kappa, _reduce
+from .states import _haar_amplitudes, _mixed_stack
 from .tolerances import TAU_REL
 
-FOUR_THIRDS = 4.0 / 3.0
 CHUNK = 256  # campaign samples spawned, drawn and evaluated together
 
 
@@ -109,49 +112,37 @@ def _projectors(amps: np.ndarray) -> np.ndarray:
     return amps[..., :, None] * amps[..., None, :].conj()
 
 
+def _clamped(m):
+    """Validate a stack once: rho, its P^2, C^2 and M^2 clamped at 0, and kappa(n)."""
+    rho, *raw = _density_measures(m)
+    return (rho, *np.maximum(raw, 0.0), _kappa(rho.shape[-1]))
+
+
 def _duality(amps):
-    _, *raw = _density_measures(_projectors(amps))
-    pred, coh, _ = np.maximum(raw, 0.0)  # rounding residue clamped to 0
+    _, pred, coh, _, kappa = _clamped(_projectors(amps))
     lhs = pred + coh
-    rhs = 1.0 if amps.shape[-1] == 2 else FOUR_THIRDS
-    return lhs, rhs, np.abs(lhs - rhs)
+    return lhs, kappa, np.abs(lhs - kappa)
 
 
 def _pct(phi):
-    rho, *raw = _density_measures(phi, dims=(2,))
-    pred, coh, _ = np.maximum(raw, 0.0)
-    stokes = _stokes_components(rho)
-    lhs = np.maximum(_norm_sq(stokes), 0.0)
+    rho, pred, coh, _, _ = _clamped(phi)
+    lhs = np.maximum(_norm_sq(_stokes_components(rho)), 0.0)
     rhs = pred + coh
     return lhs, rhs, np.abs(lhs - rhs)
 
 
-def _qubit_triality(tables, subsystem="A"):
+def _triality(tables, subsystem="A"):
     rho, ent_sq = _reduce(tables, subsystem)
-    _, *raw = _density_measures(rho)
-    pred, coh, mix = np.maximum(raw, 0.0)
-    lhs = ent_sq + pred + coh
-    clauses = (np.abs(lhs - 1.0), np.abs(mix + coh + pred - 1.0), np.abs(ent_sq - mix))
-    return lhs, 1.0, np.maximum.reduce(clauses)
-
-
-def _qutrit_triality(tables, subsystem="A"):
-    rho, ent_sq = _reduce(tables, subsystem)
-    _, *raw = _density_measures(rho)
-    pred, coh, mix = np.maximum(raw, 0.0)
+    _, pred, coh, mix, kappa = _clamped(rho)
     lhs = ent_sq + coh + pred
-    residual = np.maximum(np.abs(lhs - FOUR_THIRDS), np.abs(ent_sq - FOUR_THIRDS * mix))
-    return lhs, FOUR_THIRDS, residual
+    clauses = (np.abs(lhs - kappa), np.abs(kappa * mix + pred + coh - kappa), np.abs(ent_sq - kappa * mix))
+    return lhs, kappa, np.maximum.reduce(clauses)
 
 
 def _mixed_triality(rho):
-    _, *raw = _density_measures(rho)
-    pred, coh, mix = np.maximum(raw, 0.0)
-    if rho.shape[-1] == 2:
-        lhs, rhs = mix + coh + pred, 1.0
-    else:
-        lhs, rhs = FOUR_THIRDS * mix + pred + coh, FOUR_THIRDS
-    return lhs, rhs, np.abs(lhs - rhs)
+    _, pred, coh, mix, kappa = _clamped(rho)
+    lhs = kappa * mix + pred + coh
+    return lhs, kappa, np.abs(lhs - kappa)
 
 
 def _stokes_geometry(amps):
@@ -161,65 +152,89 @@ def _stokes_geometry(amps):
     return worst, 0.0, worst
 
 
+# relation -> (stack function, sample shape, mixed).  Pure relations sample
+# amplitudes of that shape; mixed ones density matrices of its dimension,
+# of cycling rank unless a campaign pins one.
+_RELATIONS = {
+    "qubit-duality": (_duality, (2,), False),
+    "qutrit-duality": (_duality, (3,), False),
+    "pct": (_pct, (2,), True),
+    "qubit-triality": (_triality, (2, 2), False),
+    "qutrit-triality": (_triality, (3, 3), False),
+    "qubit-mixed-triality": (_mixed_triality, (2,), True),
+    "qutrit-mixed-triality": (_mixed_triality, (3,), True),
+    "stokes-geometry": (_stokes_geometry, (3,), False),
+}
+
+
+def _relation_id(evaluate, shape) -> str:
+    """The id under which ``evaluate`` checks samples of ``shape``."""
+    for relation_id, (function, sample_shape, _) in _RELATIONS.items():
+        if function is evaluate and sample_shape == shape:
+            return relation_id
+    raise UnsupportedDimension(f"no {evaluate.__name__[1:].replace('_', ' ')} relation for shape {shape}")
+
+
 # ---------------------------------------------------------------------------
 # Single-input checks
 # ---------------------------------------------------------------------------
 
+def _check_pure(caller, relation_id, state, tol, *args) -> RelationVerdict:
+    """One state, of the shape the table gives ``relation_id``, through its stack function."""
+    _require_state(state, caller)
+    evaluate, shape, _ = _RELATIONS[relation_id]
+    if (state.split or (state.dim,)) != shape:
+        raise DimensionError(f"{caller} needs a state of shape {shape}, got {state.split or (state.dim,)}")
+    return _verdict(relation_id, evaluate(state.amplitudes.reshape(shape), *args), tol, state)
+
+
+def _check_matrix(evaluate, rho, tol) -> RelationVerdict:
+    """One matrix through ``evaluate``, under the id the table gives its dimension."""
+    m = as_complex_matrix(rho)
+    return _verdict(_relation_id(evaluate, m.shape[:1]), evaluate(m), tol, rho)
+
+
 def check_duality_pure(state: StateVector, tol: float = TAU_REL) -> RelationVerdict:
-    """P^2 + C^2 = 1 (qubit) or 4/3 (qutrit) for pure single systems."""
+    """P^2 + C^2 = kappa(n) for pure single systems: 1 (qubit) or 4/3 (qutrit)."""
     _require_state(state, "check_duality_pure")
     if state.split is not None:
         raise PreconditionError("expected a single-system state, got a bipartite split")
-    if state.dim not in (2, 3):
-        raise UnsupportedDimension(f"duality is defined for dims 2 and 3, got {state.dim}")
-    relation_id = "qubit-duality" if state.dim == 2 else "qutrit-duality"
-    return _verdict(relation_id, _duality(state.amplitudes), tol, state)
+    return _verdict(_relation_id(_duality, (state.dim,)), _duality(state.amplitudes), tol, state)
 
 
 def check_pct(phi, tol: float = TAU_REL) -> RelationVerdict:
     """Polarization-coherence theorem: |S|^2 = P^2 + C^2 for any 2x2 density."""
-    return _verdict("pct", _pct(as_complex_matrix(phi)), tol, phi)
+    return _check_matrix(_pct, phi, tol)
 
 
 def check_qubit_triality_pure(
     state: StateVector, tol: float = TAU_REL, subsystem: str = "A"
 ) -> RelationVerdict:
-    """E^2 + P^2 + C^2 = 1 for pure two-qubit states.
+    """E^2 + C^2 + P^2 = 1 for pure two-qubit states, E the concurrence.
 
-    Also verifies the mixedness form M^2 + C^2 + P^2 = 1 on the reduced
-    state and the agreement E^2 = M^2; the verdict reflects the worst of
-    the three clauses.
+    Also checks M^2 + P^2 + C^2 = 1 on the reduced state and E^2 = M^2;
+    the verdict reflects the worst of the three clauses.
     """
-    _require_state(state, "check_qubit_triality_pure")
-    if state.split != (2, 2):
-        raise DimensionError(f"expected split (2, 2), got {state.split}")
-    tables = state.amplitudes.reshape(2, 2)
-    return _verdict("qubit-triality", _qubit_triality(tables, subsystem), tol, state)
+    return _check_pure("check_qubit_triality_pure", "qubit-triality", state, tol, subsystem)
 
 
 def check_qutrit_triality_pure(
     state: StateVector, tol: float = TAU_REL, subsystem: str = "A"
 ) -> RelationVerdict:
-    """E^2 + C^2 + P^2 = 4/3 for pure two-qutrit states.
+    """E^2 + C^2 + P^2 = 4/3 for pure two-qutrit states, E the I-concurrence.
 
-    Also verifies E^2 = (4/3) M^2 on the reduced state; the verdict
-    reflects the worse of the two clauses.
+    Also checks (4/3) M^2 + P^2 + C^2 = 4/3 on the reduced state and
+    E^2 = (4/3) M^2; the verdict reflects the worst of the three clauses.
     """
-    _require_state(state, "check_qutrit_triality_pure")
-    if state.split != (3, 3):
-        raise DimensionError(f"expected split (3, 3), got {state.split}")
-    tables = state.amplitudes.reshape(3, 3)
-    return _verdict("qutrit-triality", _qutrit_triality(tables, subsystem), tol, state)
+    return _check_pure("check_qutrit_triality_pure", "qutrit-triality", state, tol, subsystem)
 
 
 def check_mixed_triality(rho, tol: float = TAU_REL) -> RelationVerdict:
-    """Mixedness triality for any single-system density matrix.
+    """Mixedness triality kappa(n) M^2 + P^2 + C^2 = kappa(n) for any density matrix.
 
-    dim 2: M^2 + C^2 + P^2 = 1; dim 3: (4/3) M^2 + P^2 + C^2 = 4/3.
+    dim 2: M^2 + P^2 + C^2 = 1; dim 3: (4/3) M^2 + P^2 + C^2 = 4/3.
     """
-    m = as_complex_matrix(rho)
-    relation_id = "qubit-mixed-triality" if m.shape[0] == 2 else "qutrit-mixed-triality"
-    return _verdict(relation_id, _mixed_triality(m), tol, rho)
+    return _check_matrix(_mixed_triality, rho, tol)
 
 
 def check_pure_stokes_geometry(state: StateVector, tol: float = TAU_REL) -> RelationVerdict:
@@ -228,30 +243,12 @@ def check_pure_stokes_geometry(state: StateVector, tol: float = TAU_REL) -> Rela
     The verdict's lhs is the worse of the norm and quadratic residuals
     (rhs 0), so it measures distance from the admissible surface.
     """
-    _require_state(state, "check_pure_stokes_geometry")
-    if state.split is not None or state.dim != 3:
-        raise DimensionError("expected a single-system qutrit state")
-    return _verdict("stokes-geometry", _stokes_geometry(state.amplitudes), tol, state)
+    return _check_pure("check_pure_stokes_geometry", "stokes-geometry", state, tol)
 
 
 # ---------------------------------------------------------------------------
 # Sampling campaigns
 # ---------------------------------------------------------------------------
-
-# relation -> (stack function, dim, split, mixed); mixed relations sample
-# density matrices, of cycling rank unless a campaign pins one, the others
-# pure states
-_RELATIONS = {
-    "qubit-duality": (_duality, 2, None, False),
-    "qutrit-duality": (_duality, 3, None, False),
-    "pct": (_pct, 2, None, True),
-    "qubit-triality": (_qubit_triality, 4, (2, 2), False),
-    "qutrit-triality": (_qutrit_triality, 9, (3, 3), False),
-    "qubit-mixed-triality": (_mixed_triality, 2, None, True),
-    "qutrit-mixed-triality": (_mixed_triality, 3, None, True),
-    "stokes-geometry": (_stokes_geometry, 3, None, False),
-}
-
 
 def relation_ids() -> tuple[str, ...]:
     return tuple(_RELATIONS)
@@ -280,7 +277,8 @@ def run_campaign(
         raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
     if not (_is_int(seed) and seed >= 0):
         raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
-    evaluate, dim, split, mixed = _RELATIONS[relation_id]
+    evaluate, shape, mixed = _RELATIONS[relation_id]
+    dim = math.prod(shape)
     rank = (params or {}).get("rank")
     if rank is not None and not mixed:
         raise PreconditionError(f"{relation_id} samples pure states; it takes no rank")
@@ -296,7 +294,7 @@ def run_campaign(
         else:
             samples = np.stack([_haar_amplitudes(rng, dim) for rng in rngs])
             _require_unit_norm(samples)
-            samples = samples.reshape(len(rngs), *(split or (dim,)))
+            samples = samples.reshape(len(rngs), *shape)
         residuals[start:start + len(rngs)] = evaluate(samples)[2]
     return CampaignSummary(
         relation_id=relation_id,

@@ -13,12 +13,11 @@ rank, with the bits the samplers give one sample at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import DegenerateInput, DimensionError, UnknownState
-from .linalg import StateVector
+from .linalg import StateVector, _is_int
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -87,11 +86,6 @@ def _rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool: True and False are no dimension, rank or seed."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _require_dim(caller: str, dim, least: int) -> None:

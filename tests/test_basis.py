@@ -80,6 +80,14 @@ def test_generators_unsupported_dimension():
         generators(4)
 
 
+@pytest.mark.parametrize("n", [2.0, 3.0, True])
+def test_the_stokes_gate_needs_an_integer_n(n):
+    with pytest.raises(UnsupportedDimension):
+        generators(n)
+    with pytest.raises(UnsupportedDimension):
+        StokesVector(n, np.zeros(3))
+
+
 # --- structure constants -----------------------------------------------
 
 def test_f_vanishes_on_repeated_indices():
@@ -234,6 +242,23 @@ def test_stokes_json_roundtrip():
     assert doc["n"] == 3
     back = stokes_from_json(doc)
     np.testing.assert_array_equal(back.components, s.components)
+
+
+@pytest.mark.parametrize("n", [2.0, "3", True])
+def test_stokes_from_json_needs_an_integer_n(n):
+    with pytest.raises(ValueError):
+        stokes_from_json({"n": n, "s": [0.0, 0.0, 1.0]})
+
+
+@pytest.mark.parametrize("n,scale,weight", [(2, 1.0, 1.0), (3, SQRT3 / 2.0, SQRT3)])
+def test_stokes_normalization_keeps_the_per_dimension_constants(n, scale, weight):
+    # S = Tr(g Phi)/sqrt(kappa(n)) and its inverse give the n = 2 and n = 3 doubles bit for bit
+    rho = random_mixed(n, n, 31)
+    s = stokes_extract(rho)
+    raw = np.einsum("kij,...ji->...k", generators(n), rho).real
+    assert s.components.tobytes() == (scale * raw).tobytes()
+    weighted = np.einsum("k,kij->ij", s.components, generators(n))
+    assert stokes_reconstruct(s).tobytes() == ((np.eye(n) + weight * weighted) / n).tobytes()
 
 
 # --- pure-state constraints --------------------------------------------

@@ -131,6 +131,31 @@ def test_analyze_nan_amplitude_exits_3(tmp_path, capsys):
     assert "invalid" in err
 
 
+_HALF = {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_BELL = {"dim": 4, "re": [0.5 ** 0.5, 0.0, 0.0, 0.5 ** 0.5], "im": [0.0] * 4}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 2.7, **_HALF},
+        {"dim": "2", **_HALF},
+        {"dim": True, "re": [1.0], "im": [0.0]},
+        {**_BELL, "split": [2.9, 2.2]},
+        {**_BELL, "split": [2, 2, 7]},
+        {**_BELL, "split": "22"},
+        {**_BELL, "split": [2, False]},
+    ],
+    ids=["float-dim", "string-dim", "bool-dim", "float-split", "three-split", "string-split", "bool-split"],
+)
+def test_analyze_malformed_dim_or_split_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "parse" in err
+
+
 @pytest.mark.parametrize("part", ["re", "im"])
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_analyze_non_finite_matrix_exits_3_without_warnings(tmp_path, capsys, part, token):

@@ -1,6 +1,9 @@
 """Relation checks and sampling campaigns."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ import polco.relations
 import polco.states
 from polco import (
     DimensionError,
+    PolcoError,
     PreconditionError,
     StateVector,
     UnknownRelation,
+    UnsupportedDimension,
     ValidationError,
     check_duality_pure,
     check_mixed_triality,
@@ -229,6 +234,39 @@ def test_triality_subsystem_symmetry(dim, checker):
         assert abs(via_a.residual - via_b.residual) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "checker,sample,error",
+    [
+        (check_duality_pure, haar_pure(4, 0), UnsupportedDimension),
+        (check_mixed_triality, np.eye(4) / 4, UnsupportedDimension),
+        (check_qubit_triality_pure, haar_pure(9, 0, split=(3, 3)), DimensionError),
+        (check_qutrit_triality_pure, haar_pure(4, 0, split=(2, 2)), DimensionError),
+        (check_duality_pure, haar_pure(4, 0, split=(2, 2)), PreconditionError),
+    ],
+)
+def test_checks_reject_inputs_outside_their_relation(checker, sample, error):
+    with pytest.raises(PolcoError) as raised:
+        checker(sample)
+    assert type(raised.value) is error
+
+
+def test_kappa_gives_the_paper_constants_bit_for_bit():
+    assert polco.relations._kappa(2) == 1.0
+    assert polco.relations._kappa(3) == 4.0 / 3.0
+
+
+@pytest.mark.parametrize("seed", [16, 37, 39, 52, 101])
+def test_qutrit_triality_reports_its_mixedness_clause(seed):
+    # on these samples the mixedness clause is the worst of the three
+    state = haar_pure(9, seed, split=(3, 3))
+    rho, ent_sq = polco.measures._reduce(state.amplitudes.reshape(3, 3))
+    _, *raw = polco.measures._density_measures(rho)
+    pred, coh, mix = np.maximum(raw, 0.0)
+    mixedness = abs(FOUR_THIRDS * mix + pred + coh - FOUR_THIRDS)
+    assert mixedness > max(abs(ent_sq + coh + pred - FOUR_THIRDS), abs(ent_sq - FOUR_THIRDS * mix))
+    assert check_qutrit_triality_pure(state).residual == mixedness
+
+
 # --- campaigns ---------------------------------------------------------------------
 
 def test_campaign_deterministic():
@@ -369,7 +407,7 @@ def test_campaign_samples_whole_chunks(monkeypatch, relation):
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     run_campaign(relation, 2 * CHUNK + 5, seed=3)
-    mixed = polco.relations._RELATIONS[relation][3]
+    *_, mixed = polco.relations._RELATIONS[relation]
     assert len(qr_calls) == (3 if mixed else 0)
 
 
@@ -393,7 +431,7 @@ def _campaign_stacks(monkeypatch, relation, n, seed, params=None):
      ("qutrit-mixed-triality", 1), ("qutrit-mixed-triality", 2), ("qutrit-mixed-triality", 3)],
 )
 def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, relation, rank):
-    dim, n = polco.relations._RELATIONS[relation][1], CHUNK + 5
+    dim, n = math.prod(polco.relations._RELATIONS[relation][1]), CHUNK + 5
     params = None if rank is None else {"rank": rank}
     stacks = _campaign_stacks(monkeypatch, relation, n, 21, params)
     streams = np.random.SeedSequence(21).spawn(n)
@@ -409,11 +447,11 @@ def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, relation, rank
     "relation", ["qubit-duality", "qutrit-duality", "qubit-triality", "qutrit-triality"]
 )
 def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, relation):
-    dim, split, n = *polco.relations._RELATIONS[relation][1:3], CHUNK + 5
+    shape, n = polco.relations._RELATIONS[relation][1], CHUNK + 5
     stacks = _campaign_stacks(monkeypatch, relation, n, 22)
     streams = np.random.SeedSequence(22).spawn(n)
-    expected = np.stack([haar_pure(dim, np.random.default_rng(s)).amplitudes for s in streams])
-    assert stacks.shape == (n, *(split or (dim,)))
+    expected = np.stack([haar_pure(math.prod(shape), np.random.default_rng(s)).amplitudes for s in streams])
+    assert stacks.shape == (n, *shape)
     assert stacks.tobytes() == expected.tobytes()
 
 
@@ -487,6 +525,12 @@ def test_relation_registry_lists_all():
     ids = relation_ids()
     assert "qubit-triality" in ids and "stokes-geometry" in ids
     assert len(ids) == 8
+
+
+def test_readme_lists_the_registry_in_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"Relations known to `verify`:(.*?)\.\s", readme, re.DOTALL).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == relation_ids()
 
 
 def test_verdict_json_fields():
