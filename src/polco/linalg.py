@@ -53,10 +53,13 @@ class StateVector:
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         if self.split is not None:
-            dA, dB = (int(self.split[0]), int(self.split[1]))
-            if dA < 1 or dB < 1 or dA * dB != amp.size:
-                raise DimensionError(f"split {self.split} incompatible with dim {amp.size}")
-            object.__setattr__(self, "split", (dA, dB))
+            try:
+                dA, dB = self.split
+            except (TypeError, ValueError):  # not two entries
+                dA = dB = None
+            if not (_is_int(dA) and _is_int(dB) and dA >= 1 and dB >= 1 and dA * dB == amp.size):
+                raise DimensionError(f"split {self.split!r} must be two integers with product {amp.size}")
+            object.__setattr__(self, "split", (int(dA), int(dB)))
 
     @property
     def dim(self) -> int:

@@ -14,9 +14,11 @@ trialities also check the mixedness triality of the reduced state and
 E^2 = kappa M^2, and report the worst of the three clause residuals, so
 ``passed`` covers all of them.
 
-Campaign streams are spawned ``CHUNK`` at a time from one
-``np.random.SeedSequence(seed)``, which yields the same children as one
-``spawn(n)``.  Each stream draws its own sample's numbers, as the public
+Campaign sample *i* draws from the stream of child *i* of
+``np.random.SeedSequence(seed)``.  The children are never built: their
+PCG64 states are derived from ``(seed, i)``, ``CHUNK`` at a time,
+exactly as ``SeedSequence(seed).spawn(n)`` and ``default_rng`` would set
+them.  Each stream draws its own sample's numbers, as the public
 samplers would; the chunk's unitaries (one stacked QR) and projectors
 are then built at once, with the bits the samplers give one sample at a
 time, and the stack is evaluated at once, so a campaign holds at most
@@ -45,10 +47,10 @@ from .errors import (
 )
 from .linalg import StateVector, _is_int, _norm_sq, _require_unit_norm, as_complex_matrix, fingerprint
 from .measures import _density_measures, _kappa, _reduce
-from .states import _haar_amplitudes, _mixed_stack
+from .states import _haar_amplitudes, _mixed_draws, _mixed_stack, _require_seed, _spawned_draws
 from .tolerances import TAU_REL
 
-CHUNK = 256  # campaign samples spawned, drawn and evaluated together
+CHUNK = 256  # campaign samples seeded, drawn and evaluated together
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,8 @@ def run_campaign(
 ) -> CampaignSummary:
     """Evaluate one relation over ``n`` seeded random samples.
 
-    Sample *i* is drawn from child *i* of ``SeedSequence(seed)``, so the
+    Sample *i* is drawn from the stream ``default_rng`` gives child *i*
+    of ``SeedSequence(seed)``, derived without building either, so the
     aggregation (max / mean / failure count) does not depend on
     evaluation order.  Failing samples are counted, never raised.
     ``params={"rank": r}`` pins the rank, 1..dim, of the density
@@ -275,8 +278,7 @@ def run_campaign(
         raise PreconditionError(f"campaign needs an integer n >= 1, got {n!r}")
     if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
-    if not (_is_int(seed) and seed >= 0):
-        raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
+    _require_seed(seed)
     evaluate, shape, mixed = _RELATIONS[relation_id]
     dim = math.prod(shape)
     rank = (params or {}).get("rank")
@@ -284,18 +286,23 @@ def run_campaign(
         raise PreconditionError(f"{relation_id} samples pure states; it takes no rank")
     if rank is not None and not (_is_int(rank) and 1 <= rank <= dim):
         raise PreconditionError(f"rank must be in 1..{dim} for {relation_id}, got {rank}")
-    root = np.random.SeedSequence(seed)
-    residuals = np.empty(n)
-    for start in range(0, n, CHUNK):
-        rngs = [np.random.default_rng(stream) for stream in root.spawn(min(CHUNK, n - start))]
+
+    def draw(rng, i):
         if mixed:
-            ranks = [(start + i) % dim + 1 if rank is None else rank for i in range(len(rngs))]
-            samples = _mixed_stack(rngs, dim, ranks)
+            return _mixed_draws(rng, dim, i % dim + 1 if rank is None else rank)
+        return _haar_amplitudes(rng, dim)
+
+    residuals = np.empty(n)
+    start = 0
+    for draws in _spawned_draws(seed, n, CHUNK, draw):
+        if mixed:
+            samples = _mixed_stack(draws)
         else:
-            samples = np.stack([_haar_amplitudes(rng, dim) for rng in rngs])
+            samples = np.stack(draws)
             _require_unit_norm(samples)
-            samples = samples.reshape(len(rngs), *shape)
-        residuals[start:start + len(rngs)] = evaluate(samples)[2]
+            samples = samples.reshape(len(draws), *shape)
+        residuals[start:start + len(draws)] = evaluate(samples)[2]
+        start += len(draws)
     return CampaignSummary(
         relation_id=relation_id,
         n_samples=int(n),

@@ -2,9 +2,12 @@
 
 Randomness comes from numpy's PCG64 via ``np.random.default_rng``; a
 fixed integer seed reproduces the sample stream bit-for-bit on the same
-build.  Campaign-style callers split streams with
-``np.random.SeedSequence(seed).spawn(n)`` so per-sample generators stay
-independent of evaluation order.
+build.  Campaigns give sample *i* the stream of child *i* of
+``np.random.SeedSequence(seed)``, so per-sample streams stay independent
+of evaluation order.  Those children are never built: their PCG64 states
+are derived from ``(seed, i)`` a chunk at a time, exactly as
+``SeedSequence(seed).spawn(n)`` and ``default_rng`` would set them, and
+one generator per campaign is pointed at each in turn.
 A sampler's stream only draws numbers; matrices are built from them
 over stacks, so a campaign chunk gets one QR and one projector sum per
 rank, with the bits the samplers give one sample at a time.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionError, UnknownState
+from .errors import DegenerateInput, DimensionError, PreconditionError, UnknownState
 from .linalg import StateVector, _is_int
 
 _SQRT2 = np.sqrt(2.0)
@@ -81,11 +84,120 @@ def named_state_names() -> tuple[str, ...]:
     return tuple(sorted(_NAMED_SPECS))
 
 
+def _require_seed(seed) -> None:
+    if not (_is_int(seed) and seed >= 0):
+        raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _rng_from(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or a ready Generator."""
+    """Accept an integer seed >= 0, a SeedSequence, or a ready Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if not isinstance(seed, np.random.SeedSequence):
+        _require_seed(seed)
     return np.random.default_rng(seed)
+
+
+# ---------------------------------------------------------------------------
+# Child streams of SeedSequence(seed) without building them.  numpy's
+# SeedSequence hashes its entropy words into a pool of four uint32 words;
+# child i's entropy is the seed's words, zero-padded to the pool size,
+# then the words of i.  Every step below is numpy's (bit_generator.pyx),
+# with uint32 arithmetic wrapping and the same masks on Python ints.
+# ---------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_POOL = 4
+
+
+def _hashmix(value, hash_const: int):
+    """(hashed value, next hash constant), for a Python int or a uint32 array."""
+    following = hash_const * _MULT_A & _MASK32
+    value = (value ^ hash_const) * following & _MASK32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _absorb(pool: list, word, hash_const: int):
+    """Mix one entropy word (or a uint32 array of them) into every pool word."""
+    out = []
+    for x in pool:
+        hashed, hash_const = _hashmix(word, hash_const)
+        out.append(_mix(x, hashed))
+    return out, hash_const
+
+
+def _root_pool(seed: int):
+    """The pool every child of ``SeedSequence(seed)`` shares before its spawn key,
+    and the hash constant the key's words continue from."""
+    words, seed = [], int(seed)  # a numpy integer seed would overflow below
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words += [0] * (_POOL - len(words))
+    pool, hash_const = [], _INIT_A
+    for word in words[:_POOL]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL:]:
+        pool, hash_const = _absorb(pool, word, hash_const)
+    return pool, hash_const
+
+
+def _child_states(root, start: int, count: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(child)`` for children
+    ``start .. start + count - 1`` of the seed ``root`` was mixed from."""
+    pool, hash_const = root
+    keys = np.arange(start, start + count, dtype=np.uint64)
+    pool, hash_const = _absorb(pool, (keys & _MASK32).astype(np.uint32), hash_const)
+    wide = keys > _MASK32  # keys from 2^32 on are two words
+    if wide.any():
+        longer, _ = _absorb(pool, (keys >> 32).astype(np.uint32), hash_const)
+        pool = [np.where(wide, two, one) for one, two in zip(pool, longer)]
+    words, hash_const = [], _INIT_B  # generate_state(4, np.uint64): 8 uint32 words
+    for k in range(8):
+        following = hash_const * _MULT_B & _MASK32
+        value = (pool[k % _POOL] ^ hash_const) * following
+        words.append((value ^ value >> 16).astype(np.uint64))
+        hash_const = following
+    quads = zip(*((words[j] | words[j + 1] << 32).tolist() for j in range(0, 8, 2)))
+    states = []
+    for s0, s1, q0, q1 in quads:
+        # PCG's srandom: state = 0, inc = 2 seq + 1, step, state += initstate, step
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        states.append((((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _spawned_draws(seed: int, n: int, chunk: int, draw):
+    """Yield, ``chunk`` children at a time, ``draw(rng, i)`` for each child
+    *i* of ``SeedSequence(seed).spawn(n)``, where ``rng`` holds the state
+    ``default_rng(child)`` would: one generator, private to this call, is
+    re-pointed at every child, and only the draws leave it."""
+    root = _root_pool(seed)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for start in range(0, n, chunk):
+        draws = []
+        for i, (state, inc) in enumerate(_child_states(root, start, min(chunk, n - start)), start):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            draws.append(draw(rng, i))
+        yield draws
 
 
 def _require_dim(caller: str, dim, least: int) -> None:
@@ -95,25 +207,31 @@ def _require_dim(caller: str, dim, least: int) -> None:
         raise DimensionError(f"{caller} needs dim >= {least}, got {dim}")
 
 
-def _complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex normals: (g1 + i g2) / sqrt(2), g1, g2 ~ N(0, 1)."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / _SQRT2
+def _complex_gaussians(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard complex normals: (g1 + i g2) / sqrt(2), g1, g2 ~ N(0, 1), g1 drawn first."""
+    g = rng.standard_normal((2, *shape))
+    return (g[0] + 1j * g[1]) / _SQRT2
 
 
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random amplitudes: a complex Gaussian vector over its own 1-d norm."""
-    z = _complex_gaussians(rng, dim)
+    z = _complex_gaussians(rng, (dim,))
     return z / np.linalg.norm(z)
 
 
 def _mixed_draws(rng: np.random.Generator, dim: int, rank: int, equal_weights: bool = False):
-    """One stream's numbers for a density matrix, in draw order: the
-    (dim, dim) Ginibre sample, then the Dirichlet weights."""
+    """One stream's numbers for a density matrix, in draw order: the (dim, dim)
+    Ginibre sample, then the rank exponentials ``rng.dirichlet(np.ones(rank))``
+    would draw (none with ``equal_weights``: ones, whose simplex is all 1/rank)."""
     z = _complex_gaussians(rng, (dim, dim))
-    weights = np.full(rank, 1.0 / rank) if equal_weights else rng.dirichlet(np.ones(rank))
-    return z, weights
+    return z, np.ones(rank) if equal_weights else rng.standard_exponential(rank)
+
+
+def _simplex(e: np.ndarray) -> np.ndarray:
+    """Dirichlet(1, ..., 1) weights from a (..., rank) stack of exponentials, with
+    ``Generator.dirichlet``'s bits: each times 1 / its in-order sum (not
+    ``np.sum``, whose pairwise order rounds differently from rank 8 on)."""
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
 def _unitaries(z: np.ndarray) -> np.ndarray:
@@ -131,15 +249,15 @@ def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _mixed_stack(rngs, dim: int, ranks) -> np.ndarray:
-    """``random_mixed(dim, ranks[i], rngs[i])`` for every i, bit for bit: each
-    stream draws, then one QR and one projector sum per rank build the stack."""
-    draws = [_mixed_draws(rng, dim, rank) for rng, rank in zip(rngs, ranks)]
+def _mixed_stack(draws) -> np.ndarray:
+    """``random_mixed`` of every ``_mixed_draws`` result in ``draws``, bit for bit:
+    one QR and, per rank, one simplex and one projector sum build the stack."""
     u = _unitaries(np.stack([z for z, _ in draws]))
+    ranks = [e.size for _, e in draws]
     out = np.empty_like(u)
     for rank in set(ranks):  # not np.unique, whose first call imports numpy.ma
         group = [i for i, r in enumerate(ranks) if r == rank]
-        out[group] = _mixed_from(u[group], np.stack([draws[i][1] for i in group]))
+        out[group] = _mixed_from(u[group], _simplex(np.stack([draws[i][1] for i in group])))
     return out
 
 
@@ -166,5 +284,5 @@ def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.n
     _require_dim("random_mixed", dim, 1)
     if not (_is_int(rank) and 1 <= rank <= dim):
         raise DimensionError(f"rank must be in 1..{dim}, got {rank!r}")
-    z, weights = _mixed_draws(_rng_from(seed), dim, rank, equal_weights)
-    return _mixed_from(_unitaries(z), weights)
+    z, e = _mixed_draws(_rng_from(seed), dim, rank, equal_weights)
+    return _mixed_from(_unitaries(z), _simplex(e))

@@ -222,6 +222,14 @@ def test_verify_bad_samples_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", [("haar-pure", "--dim", "2"), ("mixed", "--dim", "2")])
+def test_generate_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, kind):
+    path = tmp_path / "state.json"
+    code, out, err = run_cli(capsys, "generate", "--kind", *kind, "--seed", "-1", "--out", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert "seed must be an integer >= 0, got -1" in err
+
+
 def test_verify_negative_seed_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--relation", "pct", "--samples", "5", "--seed", "-1")
     assert code == 2 and out == ""

@@ -250,6 +250,26 @@ def test_state_vector_rejects_bad_split():
         StateVector(np.array([1, 0, 0, 0]), split=(2, 3))
 
 
+@pytest.mark.parametrize(
+    "split", [(2.9, 2.2), (2.0, 2.0), (True, 4), (4, True), (2, 2, 1), (4,), "22", 4, ("2", "2")]
+)
+def test_state_vector_split_takes_two_integers_only(split):
+    # no truncation or coercion: (2.9, 2.2) once became (2, 2) and (True, 4) became (1, 4)
+    with pytest.raises(DimensionError):
+        StateVector(np.ones(4) / 2, split=split)
+
+
+def test_haar_pure_rejects_a_fractional_split():
+    with pytest.raises(DimensionError):
+        haar_pure(4, 0, split=(2.5, 2))
+
+
+@pytest.mark.parametrize("split", [(2, 2), [2, 2], (np.int64(2), np.uint8(2)), np.array([2, 2])])
+def test_state_vector_split_accepts_integer_pairs(split):
+    state = StateVector(np.ones(4) / 2, split=split)
+    assert state.split == (2, 2) and all(type(d) is int for d in state.split)
+
+
 def test_state_vector_immutable():
     state = StateVector(np.array([1, 0]))
     with pytest.raises(ValueError):

@@ -455,6 +455,19 @@ def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, relation):
     assert stacks.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("relation", relation_ids())
+def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, relation):
+    # child streams come from (seed, index) alone; spawn and default_rng are never called
+    expected = run_campaign(relation, 2 * CHUNK + 5, 2**32 + 9)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("campaign built a SeedSequence or called default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    assert run_campaign(relation, 2 * CHUNK + 5, 2**32 + 9) == expected
+
+
 def test_campaign_rejects_an_unnormalized_sample(monkeypatch):
     # the stacked unit-norm test raises what StateVector raises for that sample
     drawn = []

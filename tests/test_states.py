@@ -7,6 +7,7 @@ from polco import (
     BeamSpec,
     DegenerateInput,
     DimensionError,
+    PreconditionError,
     UnknownState,
     beam_to_state,
     concurrence_2x2,
@@ -21,6 +22,8 @@ from polco import (
     random_mixed,
     state_to_json,
 )
+from polco.relations import CHUNK
+from polco.states import _child_states, _mixed_from, _root_pool, _unitaries
 
 
 # --- beam mapping --------------------------------------------------------
@@ -232,3 +235,63 @@ def test_random_mixed_rejects_bad_rank():
 def test_random_mixed_rejects_non_integer_dim_or_rank(dim, rank):
     with pytest.raises(DimensionError):
         random_mixed(dim, rank, 0)
+
+
+def _dirichlet_route(dim, rank, rng, equal_weights=False):
+    """random_mixed as drawn before the exponential weights: two normal draws,
+    then ``Generator.dirichlet``; the unitary and projector build is shared."""
+    re = rng.standard_normal((dim, dim))
+    im = rng.standard_normal((dim, dim))
+    z = (re + 1j * im) / np.sqrt(2.0)
+    weights = np.full(rank, 1.0 / rank) if equal_weights else rng.dirichlet(np.ones(rank))
+    return _mixed_from(_unitaries(z), weights)
+
+
+@pytest.mark.parametrize("equal_weights", [False, True])
+def test_random_mixed_equals_the_dirichlet_route_bit_for_bit(equal_weights):
+    # dims 1..9 reach the ranks (8 and up) where np.sum's pairwise order rounds differently
+    for dim in range(1, 10):
+        for rank in range(1, dim + 1):
+            for seed in range(100):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = random_mixed(dim, rank, ours, equal_weights=equal_weights)
+                assert got.tobytes() == _dirichlet_route(dim, rank, theirs, equal_weights).tobytes()
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert ours.standard_normal() == theirs.standard_normal()
+
+
+# --- seeds ----------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [True, False, -1, 1.5, 2.0, np.float64(3.0), "3", None, [1, 2]])
+def test_samplers_reject_a_bool_negative_or_non_integer_seed(seed):
+    # True once ran seed 1; -1 and 1.5 escaped as numpy's own ValueError / TypeError
+    for sample in (lambda: haar_pure(2, seed), lambda: random_mixed(2, 2, seed), lambda: haar_unitary(2, seed)):
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            sample()
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7), 2**70 + 1])
+def test_samplers_take_integer_seeds_as_default_rng_does(seed):
+    expected = haar_pure(3, np.random.default_rng(int(seed))).amplitudes
+    assert haar_pure(3, seed).amplitudes.tobytes() == expected.tobytes()
+    assert haar_pure(3, np.random.SeedSequence(int(seed))).amplitudes.tobytes() == expected.tobytes()
+
+
+# --- campaign child streams -------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 123, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+@pytest.mark.parametrize("start", [0, CHUNK, 2**32 - 2])
+def test_child_states_equal_default_rng_of_spawned_children(seed, start):
+    # the chunk from 2^32 - 2 holds spawn keys of one and of two uint32 words
+    states = _child_states(_root_pool(seed), start, CHUNK)
+    for i, (state, inc) in enumerate(states, start):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        expected = np.random.default_rng(child).bit_generator.state["state"]
+        assert (state, inc) == (expected["state"], expected["inc"])
+
+
+def test_child_states_equal_those_spawn_gives():
+    children = np.random.SeedSequence(2**40 + 3).spawn(2 * CHUNK + 5)
+    states = _child_states(_root_pool(2**40 + 3), CHUNK, CHUNK + 5)
+    for child, (state, inc) in zip(children[CHUNK:], states):
+        assert np.random.default_rng(child).bit_generator.state["state"] == {"state": state, "inc": inc}
