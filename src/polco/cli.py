@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .basis import generators, stokes_extract, stokes_to_json, structure_constants
+from .basis import StokesVector, generators, stokes_to_json, structure_constants
 from .errors import (
     DegenerateInput,
     DimensionError,
@@ -66,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rank", type=int, help="pin one rank (1..dim) for pct and the mixed trialities")
-    p.add_argument("--tol", type=float, help=f"residual tolerance (default {TAU_REL})")
+    p.add_argument("--tol", type=float, default=TAU_REL, help=f"residual tolerance (default {TAU_REL})")
     p.add_argument("--out", help="write the summary here instead of stdout")
 
     p = sub.add_parser("constants", help="emit generator matrices and structure constants")
@@ -137,23 +136,21 @@ def _cmd_analyze(args) -> int:
         obj = matrix_from_json(doc)
     else:
         obj = state_from_json(doc)
-    report, measured = _measure(obj)
+    report, stokes = _measure(obj)
     out_doc = report_to_json(report)
-    out_doc["stokes"] = stokes_to_json(stokes_extract(measured))
+    out_doc["stokes"] = stokes_to_json(StokesVector(report.dim_n, stokes))
     _emit(_render(out_doc, args.format), args.out)
     return 0
 
 
 def _cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.kind in ("haar-pure", "mixed") and args.dim is None:
+        raise ValueError(f"--kind {args.kind} requires --dim")
     if args.kind == "haar-pure":
-        if args.dim is None:
-            raise ValueError("--kind haar-pure requires --dim")
         split = _parse_split(args.split) if args.split else None
         doc = state_to_json(haar_pure(args.dim, seed, split=split))
     elif args.kind == "mixed":
-        if args.dim is None:
-            raise ValueError("--kind mixed requires --dim")
         if args.rank is not None and not 1 <= args.rank <= args.dim:
             raise PreconditionError(f"--rank must be in 1..{args.dim}, got {args.rank}")
         rank = args.rank if args.rank is not None else args.dim
@@ -169,14 +166,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     seed = args.seed if args.seed is not None else _default_seed()
     params = {"rank": args.rank} if args.rank is not None else None
-    tol = args.tol if args.tol is not None else TAU_REL
-    summary = run_campaign(args.relation, args.samples, seed, params=params, tol=tol)
+    summary = run_campaign(args.relation, args.samples, seed, params=params, tol=args.tol)
     _emit(json.dumps(summary_to_json(summary), allow_nan=False), args.out)
     return 0 if summary.failures == 0 else 1
 
@@ -229,10 +221,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return 2
-    except (UnknownState, UnknownRelation, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UnknownState, UnknownRelation, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, DimensionError, UnsupportedDimension, DegenerateInput) as exc:

@@ -224,7 +224,9 @@ class MeasureReport:
 
 
 def _measure(obj, basis_label: str = "computational"):
-    """:func:`measure_report` and the matrix it measured, reduced once."""
+    """:func:`measure_report` and the Stokes components of the matrix it measured,
+    reduced, validated and trace-normalized once; for n = 2 the report's
+    ``degree_pol_sq`` is their squared length."""
     measured, entanglement = obj, None
     if isinstance(obj, StateVector) and obj.split is None:
         measured = obj.density()
@@ -234,12 +236,12 @@ def _measure(obj, basis_label: str = "computational"):
     rho, *raw_values = _density_measures(as_complex_matrix(measured))
     pred, coh, mix = map(float, raw_values)
     n = rho.shape[0]
+    stokes = _stokes_components(rho)
 
     raw = {"predictability_sq": pred, "coherence_hs_sq": coh, "linear_entropy_sq": mix}
     dpol = None
     if n == 2:
-        s = _stokes_components(rho)
-        raw["degree_pol_sq"] = float(_norm_sq(s))
+        raw["degree_pol_sq"] = float(_norm_sq(stokes))
         dpol = max(raw["degree_pol_sq"], 0.0)
     if entanglement is not None:
         raw["entanglement_sq"] = entanglement
@@ -255,7 +257,7 @@ def _measure(obj, basis_label: str = "computational"):
         input_hash=fingerprint(obj),
         raw=MappingProxyType(raw),
     )
-    return report, measured
+    return report, stokes
 
 
 def measure_report(obj, basis_label: str = "computational") -> MeasureReport:

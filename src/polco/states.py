@@ -102,8 +102,8 @@ def _rng_from(seed) -> np.random.Generator:
 # Child streams of SeedSequence(seed) without building them.  numpy's
 # SeedSequence hashes its entropy words into a pool of four uint32 words;
 # child i's entropy is the seed's words, zero-padded to the pool size,
-# then the words of i.  Every step below is numpy's (bit_generator.pyx),
-# with uint32 arithmetic wrapping and the same masks on Python ints.
+# then the words of i.  The seed's pool comes from numpy; each later step
+# is numpy's (bit_generator.pyx), masked to wrap as uint32 on Python ints.
 # ---------------------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
@@ -138,24 +138,13 @@ def _absorb(pool: list, word, hash_const: int):
 
 def _root_pool(seed: int):
     """The pool every child of ``SeedSequence(seed)`` shares before its spawn key,
-    and the hash constant the key's words continue from."""
-    words, seed = [], int(seed)  # a numpy integer seed would overflow below
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words += [0] * (_POOL - len(words))
-    pool, hash_const = [], _INIT_A
-    for word in words[:_POOL]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in words[_POOL:]:
-        pool, hash_const = _absorb(pool, word, hash_const)
-    return pool, hash_const
+    and the hash constant the key's words continue from.  numpy mixes the seed's
+    words (at least ``_POOL`` of them) with ``_POOL`` hashes each, and every hash
+    multiplies the constant by ``_MULT_A``."""
+    seed = int(seed)  # SeedSequence and bit_length need a Python int
+    words = max(_POOL, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, _POOL * words, 1 << 32) & _MASK32
+    return np.random.SeedSequence(seed).pool.tolist(), hash_const
 
 
 def _child_states(root, start: int, count: int) -> list[tuple[int, int]]:

@@ -9,14 +9,22 @@ import warnings
 import numpy as np
 import pytest
 
+import polco.basis
 import polco.cli
 import polco.measures
 from polco import (
     TAU_NUM,
+    PreconditionError,
+    haar_pure,
     matrix_to_json,
     named_state,
     named_state_names,
+    random_mixed,
+    run_campaign,
     state_to_json,
+    stokes_extract,
+    stokes_from_json,
+    stokes_to_json,
     structure_constants,
 )
 from polco.cli import main
@@ -96,6 +104,68 @@ def test_analyze_partially_entangled_state(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
     assert code == 0
     assert json.loads(out)["entanglement_sq"] == pytest.approx(0.64, abs=1e-12)
+
+
+def _analyze(tmp_path, capsys, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 0, err
+    return json.loads(out)
+
+
+def _analyzed_documents():
+    """(document, the matrix analyze measures for it): Hermitian matrices of every
+    rank, also scaled off unit trace, single vectors and bipartite vectors."""
+    cases = []
+    for dim in (2, 3):
+        for rank in range(1, dim + 1):
+            for seed in range(4):
+                rho = random_mixed(dim, rank, seed)
+                rho = (rho + rho.conj().T) / 2.0  # a real diagonal
+                cases += [(matrix_to_json(rho), rho), (matrix_to_json(2.5 * rho), 2.5 * rho)]
+    for dim, split in ((2, None), (3, None), (4, (2, 2)), (9, (3, 3))):
+        for seed in range(4):
+            state = haar_pure(dim, seed, split=split)
+            if split is None:
+                m = state.density()
+            else:
+                m = polco.measures._reduce(state.amplitudes.reshape(split))[0]
+            cases.append((state_to_json(state), m))
+    return cases
+
+
+def test_analyze_stokes_equals_stokes_extract_of_the_measured_matrix(tmp_path, capsys):
+    for doc, m in _analyzed_documents():
+        assert _analyze(tmp_path, capsys, doc)["stokes"] == stokes_to_json(stokes_extract(m))
+
+
+def test_analyze_stokes_length_is_the_reported_degree_of_polarization(tmp_path, capsys):
+    # an imaginary diagonal within TAU_HERM and a trace of 2.5: the report and its
+    # Stokes vector still come from one normalized matrix
+    docs = [doc for doc, m in _analyzed_documents() if m.shape == (2, 2)]
+    for seed in range(8):
+        rho = random_mixed(2, 2, seed)
+        docs.append(matrix_to_json(2.5 * (rho + rho.conj().T) / 2.0 + np.diag([3e-11j, -2e-11j])))
+    for doc in docs:
+        report = _analyze(tmp_path, capsys, doc)
+        assert stokes_from_json(report["stokes"]).norm_sq() == report["raw"]["degree_pol_sq"]
+
+
+def test_analyze_computes_the_stokes_components_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = polco.basis._stokes_components
+
+    def counting(phi):
+        calls.append(phi.shape)
+        return original(phi)
+
+    monkeypatch.setattr(polco.basis, "_stokes_components", counting)
+    monkeypatch.setattr(polco.measures, "_stokes_components", counting)
+    for doc, m in _analyzed_documents():
+        calls.clear()
+        _analyze(tmp_path, capsys, doc)
+        assert calls == [m.shape]
 
 
 # --- exit codes -----------------------------------------------------------
@@ -218,8 +288,21 @@ def test_usage_error_leaves_the_parser_usable(capsys):
 
 
 def test_verify_bad_samples_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--relation", "pct", "--samples", "0")
-    assert code == 2
+    code, out, err = run_cli(capsys, "verify", "--relation", "pct", "--samples", "0")
+    assert code == 2 and out == ""
+    assert "campaign needs an integer n >= 1, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "samples,tol", [("0", "1e-9"), ("5", "nan"), ("5", "inf"), ("5", "0"), ("5", "-1e-9")]
+)
+def test_verify_reports_run_campaigns_own_message(capsys, samples, tol):
+    with pytest.raises(PreconditionError) as raised:
+        run_campaign("qubit-duality", int(samples), 0, tol=float(tol))
+    code, out, err = run_cli(
+        capsys, "verify", "--relation", "qubit-duality", "--samples", samples, f"--tol={tol}"
+    )
+    assert (code, out, err) == (2, "", f"error: {raised.value}\n")
 
 
 @pytest.mark.parametrize("kind", [("haar-pure", "--dim", "2"), ("mixed", "--dim", "2")])
@@ -238,11 +321,12 @@ def test_verify_negative_seed_exits_2(capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 def test_verify_tol_must_be_finite_and_positive(capsys, tol):
+    # "--tol=-1e-9": argparse reads a separate "-1e-9" as an option, not a value
     code, out, err = run_cli(
-        capsys, "verify", "--relation", "qubit-duality", "--samples", "5", "--tol", tol
+        capsys, "verify", "--relation", "qubit-duality", "--samples", "5", f"--tol={tol}"
     )
     assert code == 2 and out == ""
-    assert "--tol" in err
+    assert "tolerance must be finite and > 0" in err
 
 
 @pytest.mark.parametrize(

@@ -457,15 +457,26 @@ def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, relation):
 
 @pytest.mark.parametrize("relation", relation_ids())
 def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, relation):
-    # child streams come from (seed, index) alone; spawn and default_rng are never called
+    # child streams come from (seed, index) alone: one SeedSequence per campaign
+    # gives the seed's pool; spawn and default_rng are never called
     expected = run_campaign(relation, 2 * CHUNK + 5, 2**32 + 9)
+    built = []
+
+    class RootOnly(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+        def spawn(self, n_children):
+            raise AssertionError("campaign spawned SeedSequence children")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("campaign built a SeedSequence or called default_rng")
+        raise AssertionError("campaign called default_rng")
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", RootOnly)
     assert run_campaign(relation, 2 * CHUNK + 5, 2**32 + 9) == expected
+    assert built == [(2**32 + 9,)]
 
 
 def test_campaign_rejects_an_unnormalized_sample(monkeypatch):

@@ -279,7 +279,7 @@ def test_samplers_take_integer_seeds_as_default_rng_does(seed):
 
 # --- campaign child streams -------------------------------------------------
 
-@pytest.mark.parametrize("seed", [0, 1, 123, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+@pytest.mark.parametrize("seed", [0, 1, 123, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 2**160 + 7])
 @pytest.mark.parametrize("start", [0, CHUNK, 2**32 - 2])
 def test_child_states_equal_default_rng_of_spawned_children(seed, start):
     # the chunk from 2^32 - 2 holds spawn keys of one and of two uint32 words
