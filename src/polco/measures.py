@@ -31,15 +31,13 @@ from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM, TAU_PSD
 
 
 def _as_density(m, dims=(2, 3)) -> np.ndarray:
-    """Validate and trace-normalize a stack ``(..., n, n)`` of density matrices.
+    """Validate and trace-normalize a complex128 stack ``(..., n, n)``, n >= 1, of
+    density matrices, as :func:`as_complex_matrix` or an in-package stack gives it.
 
     The checks are :func:`validate_density`'s, run once over the whole
     stack; a failing stack raises the error its first failing matrix's
     report names.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[-1]
     if dims is not None and n not in dims:
         raise UnsupportedDimension(f"expected dim in {dims}, got {n}")

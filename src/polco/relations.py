@@ -14,15 +14,11 @@ trialities also check the mixedness triality of the reduced state and
 E^2 = kappa M^2, and report the worst of the three clause residuals, so
 ``passed`` covers all of them.
 
-Campaign sample *i* draws from the stream of child *i* of
-``np.random.SeedSequence(seed)``.  The children are never built: their
-PCG64 states are derived from ``(seed, i)``, ``CHUNK`` at a time,
-exactly as ``SeedSequence(seed).spawn(n)`` and ``default_rng`` would set
-them.  Each stream draws its own sample's numbers, as the public
-samplers would; the chunk's unitaries (one stacked QR) and projectors
-are then built at once, with the bits the samplers give one sample at a
-time, and the stack is evaluated at once, so a campaign holds at most
-one chunk of samples in memory whatever its size.
+Campaigns take their samples from ``states._campaign_samples``, which
+seeds sample *i* from child *i* of ``np.random.SeedSequence(seed)`` and
+yields one chunk's stack at a time; each stack is evaluated at once, so
+a campaign holds at most one chunk of samples in memory whatever its
+size.
 
 For mixed bipartite parents the concurrence-form triality is only an
 inequality and is deliberately not checked as an identity; the
@@ -45,12 +41,10 @@ from .errors import (
     UnknownRelation,
     UnsupportedDimension,
 )
-from .linalg import StateVector, _is_int, _norm_sq, _require_unit_norm, as_complex_matrix, fingerprint
+from .linalg import StateVector, _is_int, _norm_sq, as_complex_matrix, fingerprint
 from .measures import _density_measures, _kappa, _reduce
-from .states import _haar_amplitudes, _mixed_draws, _mixed_stack, _require_seed, _spawned_draws
+from .states import _campaign_samples, _require_seed
 from .tolerances import TAU_REL
-
-CHUNK = 256  # campaign samples seeded, drawn and evaluated together
 
 
 @dataclass(frozen=True)
@@ -266,10 +260,10 @@ def run_campaign(
     aggregation (max / mean / failure count) does not depend on
     evaluation order.  Failing samples are counted, never raised.
     ``params={"rank": r}`` pins the rank, 1..dim, of the density
-    matrices sampled for pct and the mixed trialities.  ``n`` and
-    ``rank`` must be integers, ``seed`` an integer >= 0 and ``tol`` a
-    finite real > 0; anything else, bools included, raises
-    :class:`PreconditionError`.
+    matrices sampled for pct and the mixed trialities.  ``params`` must
+    be None or a dict with no key but ``"rank"``, ``n`` and ``rank``
+    integers, ``seed`` an integer >= 0 and ``tol`` a finite real > 0;
+    anything else, bools included, raises :class:`PreconditionError`.
     """
     if relation_id not in _RELATIONS:
         known = ", ".join(_RELATIONS)
@@ -281,28 +275,21 @@ def run_campaign(
     _require_seed(seed)
     evaluate, shape, mixed = _RELATIONS[relation_id]
     dim = math.prod(shape)
+    if not (params is None or isinstance(params, dict) and params.keys() <= {"rank"}):
+        raise PreconditionError(f"params must be None or a dict with no key but 'rank', got {params!r}")
     rank = (params or {}).get("rank")
     if rank is not None and not mixed:
         raise PreconditionError(f"{relation_id} samples pure states; it takes no rank")
     if rank is not None and not (_is_int(rank) and 1 <= rank <= dim):
         raise PreconditionError(f"rank must be in 1..{dim} for {relation_id}, got {rank}")
 
-    def draw(rng, i):
-        if mixed:
-            return _mixed_draws(rng, dim, i % dim + 1 if rank is None else rank)
-        return _haar_amplitudes(rng, dim)
-
     residuals = np.empty(n)
     start = 0
-    for draws in _spawned_draws(seed, n, CHUNK, draw):
-        if mixed:
-            samples = _mixed_stack(draws)
-        else:
-            samples = np.stack(draws)
-            _require_unit_norm(samples)
-            samples = samples.reshape(len(draws), *shape)
-        residuals[start:start + len(draws)] = evaluate(samples)[2]
-        start += len(draws)
+    for samples in _campaign_samples(seed, n, dim, mixed, rank):
+        if not mixed:
+            samples = samples.reshape(-1, *shape)
+        residuals[start:start + len(samples)] = evaluate(samples)[2]
+        start += len(samples)
     return CampaignSummary(
         relation_id=relation_id,
         n_samples=int(n),

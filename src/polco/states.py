@@ -4,10 +4,10 @@ Randomness comes from numpy's PCG64 via ``np.random.default_rng``; a
 fixed integer seed reproduces the sample stream bit-for-bit on the same
 build.  Campaigns give sample *i* the stream of child *i* of
 ``np.random.SeedSequence(seed)``, so per-sample streams stay independent
-of evaluation order.  Those children are never built: their PCG64 states
+of evaluation order.  Those children are never built: their seed words
 are derived from ``(seed, i)`` a chunk at a time, exactly as
-``SeedSequence(seed).spawn(n)`` and ``default_rng`` would set them, and
-one generator per campaign is pointed at each in turn.
+``SeedSequence(seed).spawn(n)`` would derive them, and numpy's PCG64 is
+seeded from each child's derived words, as ``default_rng`` seeds it.
 A sampler's stream only draws numbers; matrices are built from them
 over stacks, so a campaign chunk gets one QR and one projector sum per
 rank, with the bits the samplers give one sample at a time.
@@ -16,13 +16,15 @@ rank, with the bits the samplers give one sample at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateInput, DimensionError, PreconditionError, UnknownState
-from .linalg import StateVector, _is_int
+from .linalg import StateVector, _is_int, _require_unit_norm
 
 _SQRT2 = np.sqrt(2.0)
+CHUNK = 256  # campaign samples seeded, drawn and built together
 
 
 @dataclass(frozen=True)
@@ -107,17 +109,15 @@ def _rng_from(seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hash
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state hash
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _POOL = 4
 
 
-def _hashmix(value, hash_const: int):
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
     """(hashed value, next hash constant), for a Python int or a uint32 array."""
-    following = hash_const * _MULT_A & _MASK32
+    following = hash_const * mult & _MASK32
     value = (value ^ hash_const) * following & _MASK32
     return value ^ value >> 16, following
 
@@ -147,9 +147,9 @@ def _root_pool(seed: int):
     return np.random.SeedSequence(seed).pool.tolist(), hash_const
 
 
-def _child_states(root, start: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(child)`` for children
-    ``start .. start + count - 1`` of the seed ``root`` was mixed from."""
+def _child_words(root, start: int, count: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of children ``start .. start + count - 1``
+    of the seed ``root`` was mixed from, one ``(count, 4)`` uint64 row each."""
     pool, hash_const = root
     keys = np.arange(start, start + count, dtype=np.uint64)
     pool, hash_const = _absorb(pool, (keys & _MASK32).astype(np.uint32), hash_const)
@@ -157,36 +157,47 @@ def _child_states(root, start: int, count: int) -> list[tuple[int, int]]:
     if wide.any():
         longer, _ = _absorb(pool, (keys >> 32).astype(np.uint32), hash_const)
         pool = [np.where(wide, two, one) for one, two in zip(pool, longer)]
-    words, hash_const = [], _INIT_B  # generate_state(4, np.uint64): 8 uint32 words
+    words, hash_const = [], _INIT_B  # 8 uint32 words, each pair low word first
     for k in range(8):
-        following = hash_const * _MULT_B & _MASK32
-        value = (pool[k % _POOL] ^ hash_const) * following
-        words.append((value ^ value >> 16).astype(np.uint64))
-        hash_const = following
-    quads = zip(*((words[j] | words[j + 1] << 32).tolist() for j in range(0, 8, 2)))
-    states = []
-    for s0, s1, q0, q1 in quads:
-        # PCG's srandom: state = 0, inc = 2 seq + 1, step, state += initstate, step
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        states.append((((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+        word, hash_const = _hashmix(pool[k % _POOL], hash_const, _MULT_B)
+        words.append(word.astype(np.uint64))
+    return np.stack(words[::2], axis=-1) | np.stack(words[1::2], axis=-1) << 32
 
 
-def _spawned_draws(seed: int, n: int, chunk: int, draw):
-    """Yield, ``chunk`` children at a time, ``draw(rng, i)`` for each child
-    *i* of ``SeedSequence(seed).spawn(n)``, where ``rng`` holds the state
-    ``default_rng(child)`` would: one generator, private to this call, is
-    re-pointed at every child, and only the draws leave it."""
-    root = _root_pool(seed)
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    for start in range(0, n, chunk):
-        draws = []
-        for i, (state, inc) in enumerate(_child_states(root, start, min(chunk, n - start)), start):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            draws.append(draw(rng, i))
-        yield draws
+@lru_cache(maxsize=None)
+def _words_seed() -> type:
+    """``_Words(row)``: a child's ``generate_state(4, np.uint64)`` row, for PCG64 to seed
+    from in place of its SeedSequence; built on first use, as subclassing numpy's
+    ISeedSequence imports numpy.random, which ``import polco`` does not."""
+
+    class _Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
+
+
+def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
+    """Yield, ``CHUNK`` at a time, the stacked samples of a campaign: sample *i*
+    from the stream ``default_rng`` gives child *i* of ``SeedSequence(seed)``.
+    Mixed samples are ``(dim, dim)`` density matrices of rank ``rank``, or
+    ``i % dim + 1`` if it is None; pure ones are unit ``(dim,)`` amplitudes."""
+    root, seeded = _root_pool(seed), _words_seed()
+    for start in range(0, n, CHUNK):
+        words = _child_words(root, start, min(CHUNK, n - start))
+        streams = (np.random.Generator(np.random.PCG64(seeded(row))) for row in words)
+        if mixed:
+            yield _mixed_stack([
+                _mixed_draws(rng, dim, i % dim + 1 if rank is None else rank)
+                for i, rng in enumerate(streams, start)
+            ])
+        else:
+            samples = np.stack([_haar_amplitudes(rng, dim) for rng in streams])
+            _require_unit_norm(samples)
+            yield samples
 
 
 def _require_dim(caller: str, dim, least: int) -> None:

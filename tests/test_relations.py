@@ -43,7 +43,7 @@ from polco import (
     tensor,
     verdict_to_json,
 )
-from polco.relations import CHUNK
+from polco.states import CHUNK
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -321,7 +321,8 @@ def test_campaign_rejects_bad_tolerance(tol):
     "bad",
     [{"n": 2.0}, {"n": "3"}, {"params": {"rank": 1.5}}, {"tol": "x"}, {"tol": 1j},
      {"seed": "a"}, {"seed": -1}, {"seed": 1.0},
-     {"n": True}, {"seed": True}, {"seed": False}, {"params": {"rank": True}}],
+     {"n": True}, {"seed": True}, {"seed": False}, {"params": {"rank": True}},
+     {"params": 2}, {"params": [("rank", 2)]}, {"params": {"rnak": 2}}, {"params": {"rank": 2, "extra": 1}}],
 )
 def test_campaign_rejects_mistyped_arguments(bad):
     arguments = {"relation_id": "pct", "n": 2, "seed": 0, **bad}
@@ -457,8 +458,9 @@ def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, relation):
 
 @pytest.mark.parametrize("relation", relation_ids())
 def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, relation):
-    # child streams come from (seed, index) alone: one SeedSequence per campaign
-    # gives the seed's pool; spawn and default_rng are never called
+    # child streams come from (seed, index) alone: one root SeedSequence per
+    # campaign gives the seed's pool, default_rng is never called, and each
+    # child's PCG64 is seeded from its derived words
     expected = run_campaign(relation, 2 * CHUNK + 5, 2**32 + 9)
     built = []
 
@@ -482,14 +484,14 @@ def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, r
 def test_campaign_rejects_an_unnormalized_sample(monkeypatch):
     # the stacked unit-norm test raises what StateVector raises for that sample
     drawn = []
-    original = polco.relations._haar_amplitudes
+    original = polco.states._haar_amplitudes
 
     def drifting(rng, dim):
         amps = original(rng, dim)
         drawn.append(amps)
         return amps * (1.0 + 1e-6) if len(drawn) == CHUNK + 2 else amps
 
-    monkeypatch.setattr(polco.relations, "_haar_amplitudes", drifting)
+    monkeypatch.setattr(polco.states, "_haar_amplitudes", drifting)
     with pytest.raises(ValidationError) as raised:
         run_campaign("qutrit-duality", CHUNK + 5, seed=4)
     with pytest.raises(ValidationError) as expected:

@@ -22,8 +22,7 @@ from polco import (
     random_mixed,
     state_to_json,
 )
-from polco.relations import CHUNK
-from polco.states import _child_states, _mixed_from, _root_pool, _unitaries
+from polco.states import CHUNK, _child_words, _mixed_from, _root_pool, _unitaries, _words_seed
 
 
 # --- beam mapping --------------------------------------------------------
@@ -283,15 +282,37 @@ def test_samplers_take_integer_seeds_as_default_rng_does(seed):
 @pytest.mark.parametrize("start", [0, CHUNK, 2**32 - 2])
 def test_child_states_equal_default_rng_of_spawned_children(seed, start):
     # the chunk from 2^32 - 2 holds spawn keys of one and of two uint32 words
-    states = _child_states(_root_pool(seed), start, CHUNK)
-    for i, (state, inc) in enumerate(states, start):
+    words = _child_words(_root_pool(seed), start, CHUNK)
+    assert words.shape == (CHUNK, 4) and words.dtype == np.uint64
+    for i, row in enumerate(words, start):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
-        expected = np.random.default_rng(child).bit_generator.state["state"]
-        assert (state, inc) == (expected["state"], expected["inc"])
+        assert row.tobytes() == child.generate_state(4, np.uint64).tobytes()
+        expected = np.random.default_rng(child).bit_generator.state
+        assert np.random.PCG64(_words_seed()(row)).state == expected
 
 
 def test_child_states_equal_those_spawn_gives():
     children = np.random.SeedSequence(2**40 + 3).spawn(2 * CHUNK + 5)
-    states = _child_states(_root_pool(2**40 + 3), CHUNK, CHUNK + 5)
-    for child, (state, inc) in zip(children[CHUNK:], states):
-        assert np.random.default_rng(child).bit_generator.state["state"] == {"state": state, "inc": inc}
+    words = _child_words(_root_pool(2**40 + 3), CHUNK, CHUNK + 5)
+    for child, row in zip(children[CHUNK:], words, strict=True):
+        assert row.tobytes() == child.generate_state(4, np.uint64).tobytes()
+        assert np.random.PCG64(_words_seed()(row)).state == np.random.default_rng(child).bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "seed,index,words,raw",
+    [
+        (0, 0, (0x784DFB2CDFF7B411, 0xCA65717F56CF8F57, 0x66BA395B9BB52223, 0x6F9B32110FE1E0A9),
+         0xF1645AFFCD5F76EE),
+        (7, 255, (0xA50EF861868C4F8D, 0x6C3216A0573033BE, 0x093056FF88E40625, 0xF676B49499614EDF),
+         0x6E911C77D9B5BEC2),
+        (2**40 + 3, 2**32, (0xE4E1E7A0E5EDAF1C, 0x4594BCE4CDE0B6DF, 0x647780F6D02754F6, 0x5DDB387B31978A48),
+         0xC293008660F8F10B),
+    ],
+)
+def test_child_words_and_first_draw_are_pinned(seed, index, words, raw):
+    # literals from numpy 2.4.6: a numpy release that changed SeedSequence or
+    # PCG64 seeding would move every campaign, and the oracle tests above with it
+    row = _child_words(_root_pool(seed), index, 1)[0]
+    assert [int(word) for word in row] == list(words)
+    assert int(np.random.PCG64(_words_seed()(row)).random_raw()) == raw
