@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return 2
-    except (UnknownState, UnknownRelation, PreconditionError, OSError) as exc:
+    except (UnknownState, UnknownRelation, PreconditionError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, DimensionError, UnsupportedDimension, DegenerateInput) as exc:

@@ -17,8 +17,8 @@ E^2 = kappa M^2, and report the worst of the three clause residuals, so
 Campaigns take their samples from ``states._campaign_samples``, which
 seeds sample *i* from child *i* of ``np.random.SeedSequence(seed)`` and
 yields one chunk's stack at a time; each stack is evaluated at once, so
-a campaign holds at most one chunk of samples in memory whatever its
-size.
+a campaign holds one chunk of samples whatever its size, plus 8 bytes
+of residual per sample.
 
 For mixed bipartite parents the concurrence-form triality is only an
 inequality and is deliberately not checked as an identity; the

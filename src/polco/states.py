@@ -8,9 +8,9 @@ of evaluation order.  Those children are never built: their seed words
 are derived from ``(seed, i)`` a chunk at a time, exactly as
 ``SeedSequence(seed).spawn(n)`` would derive them, and numpy's PCG64 is
 seeded from each child's derived words, as ``default_rng`` seeds it.
-A sampler's stream only draws numbers; matrices are built from them
-over stacks, so a campaign chunk gets one QR and one projector sum per
-rank, with the bits the samplers give one sample at a time.
+A campaign's streams only draw numbers, into one buffer per chunk; the
+chunk is then built once: one complex build, one Haar norm or one QR and
+one projector sum per rank, with the samplers' one-sample bits.
 """
 
 from __future__ import annotations
@@ -93,11 +93,9 @@ def _require_seed(seed) -> None:
 
 def _rng_from(seed) -> np.random.Generator:
     """Accept an integer seed >= 0, a SeedSequence, or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if not isinstance(seed, np.random.SeedSequence):
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
         _require_seed(seed)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(seed)  # a Generator comes back unaltered
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +179,26 @@ def _words_seed() -> type:
 
 
 def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
-    """Yield, ``CHUNK`` at a time, the stacked samples of a campaign: sample *i*
-    from the stream ``default_rng`` gives child *i* of ``SeedSequence(seed)``.
-    Mixed samples are ``(dim, dim)`` density matrices of rank ``rank``, or
-    ``i % dim + 1`` if it is None; pure ones are unit ``(dim,)`` amplitudes."""
+    """Yield, ``CHUNK`` at a time, the stacked samples of a campaign: sample *i* from
+    the stream ``default_rng`` gives child *i* of ``SeedSequence(seed)``, which only
+    draws into the chunk's buffers.  Mixed samples are ``(dim, dim)`` density matrices
+    of rank ``rank``, or ``i % dim + 1`` if None; pure ones unit ``(dim,)`` amplitudes."""
     root, seeded = _root_pool(seed), _words_seed()
     for start in range(0, n, CHUNK):
         words = _child_words(root, start, min(CHUNK, n - start))
-        streams = (np.random.Generator(np.random.PCG64(seeded(row))) for row in words)
+        g = np.empty((len(words), 2, *((dim, dim) if mixed else (dim,))))
+        e = np.empty((len(words), dim))
+        ranks = [i % dim + 1 if rank is None else rank for i in range(start, start + len(words))]
+        for row, normals, weights, r in zip(words, g, e, ranks):
+            rng = np.random.Generator(np.random.PCG64(seeded(row)))
+            rng.standard_normal(out=normals)
+            if mixed:
+                rng.standard_exponential(out=weights[:r])
+        z = (g[:, 0] + 1j * g[:, 1]) / _SQRT2
         if mixed:
-            yield _mixed_stack([
-                _mixed_draws(rng, dim, i % dim + 1 if rank is None else rank)
-                for i, rng in enumerate(streams, start)
-            ])
+            yield _mixed_stack(z, e, ranks)
         else:
-            samples = np.stack([_haar_amplitudes(rng, dim) for rng in streams])
+            samples = _haar_rows(z)
             _require_unit_norm(samples)
             yield samples
 
@@ -219,12 +222,11 @@ def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _mixed_draws(rng: np.random.Generator, dim: int, rank: int, equal_weights: bool = False):
-    """One stream's numbers for a density matrix, in draw order: the (dim, dim)
-    Ginibre sample, then the rank exponentials ``rng.dirichlet(np.ones(rank))``
-    would draw (none with ``equal_weights``: ones, whose simplex is all 1/rank)."""
-    z = _complex_gaussians(rng, (dim, dim))
-    return z, np.ones(rank) if equal_weights else rng.standard_exponential(rank)
+def _haar_rows(z: np.ndarray) -> np.ndarray:
+    """``_haar_amplitudes`` of each row, bit for bit: sqrt(re . re + im . im) is ``np.linalg.norm``'s
+    1-d complex formula, and numpy's matmul hands a (1, d) @ (d, 1) product to that same ``dot``."""
+    re, im = z.real[:, None, :], z.imag[:, None, :]
+    return z / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
 def _simplex(e: np.ndarray) -> np.ndarray:
@@ -249,15 +251,14 @@ def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _mixed_stack(draws) -> np.ndarray:
-    """``random_mixed`` of every ``_mixed_draws`` result in ``draws``, bit for bit:
-    one QR and, per rank, one simplex and one projector sum build the stack."""
-    u = _unitaries(np.stack([z for z, _ in draws]))
-    ranks = [e.size for _, e in draws]
+def _mixed_stack(z: np.ndarray, e: np.ndarray, ranks) -> np.ndarray:
+    """``random_mixed`` of each Ginibre ``z[i]`` and exponentials ``e[i, :ranks[i]]``,
+    bit for bit: one QR and, per rank, one simplex and one projector sum."""
+    u = _unitaries(z)
     out = np.empty_like(u)
     for rank in set(ranks):  # not np.unique, whose first call imports numpy.ma
         group = [i for i, r in enumerate(ranks) if r == rank]
-        out[group] = _mixed_from(u[group], _simplex(np.stack([draws[i][1] for i in group])))
+        out[group] = _mixed_from(u[group], _simplex(e[group, :rank]))
     return out
 
 
@@ -284,5 +285,7 @@ def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.n
     _require_dim("random_mixed", dim, 1)
     if not (_is_int(rank) and 1 <= rank <= dim):
         raise DimensionError(f"rank must be in 1..{dim}, got {rank!r}")
-    z, e = _mixed_draws(_rng_from(seed), dim, rank, equal_weights)
+    rng = _rng_from(seed)
+    z = _complex_gaussians(rng, (dim, dim))  # then the exponentials dirichlet would draw
+    e = np.ones(rank) if equal_weights else rng.standard_exponential(rank)
     return _mixed_from(_unitaries(z), _simplex(e))

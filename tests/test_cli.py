@@ -293,6 +293,18 @@ def test_verify_bad_samples_exits_2(capsys):
     assert "campaign needs an integer n >= 1, got 0" in err
 
 
+def test_verify_out_of_memory_exits_2_with_one_error_line(monkeypatch, capsys):
+    # exit 1 means verification failures; a campaign too large to allocate is a usage error
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(polco.cli, "run_campaign", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--relation", "pct", "--samples", "1000000000000")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "samples,tol", [("0", "1e-9"), ("5", "nan"), ("5", "inf"), ("5", "0"), ("5", "-1e-9")]
 )

@@ -391,14 +391,17 @@ def test_campaign_evaluates_whole_chunks(validated, monkeypatch, relation):
 
 @pytest.mark.parametrize("relation", relation_ids())
 def test_campaign_samples_whole_chunks(monkeypatch, relation):
-    # one stacked QR per chunk, and no public sampler or StateVector per sample
+    # one stacked QR per chunk, and no sampler, complex build, Haar norm or
+    # StateVector per sample: the streams only draw
     def forbidden(*args, **kwargs):
         raise AssertionError("per-sample sampler inside a campaign")
 
     for module in (polco.states, polco.relations, polco.linalg):
-        for name in ("random_mixed", "haar_unitary", "haar_pure", "StateVector"):
+        for name in ("random_mixed", "haar_unitary", "haar_pure", "StateVector",
+                     "_haar_amplitudes", "_complex_gaussians"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
     qr_calls = []
     qr = np.linalg.qr
 
@@ -483,19 +486,22 @@ def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, r
 
 def test_campaign_rejects_an_unnormalized_sample(monkeypatch):
     # the stacked unit-norm test raises what StateVector raises for that sample
-    drawn = []
-    original = polco.states._haar_amplitudes
+    built = []
+    original = polco.states._haar_rows
 
-    def drifting(rng, dim):
-        amps = original(rng, dim)
-        drawn.append(amps)
-        return amps * (1.0 + 1e-6) if len(drawn) == CHUNK + 2 else amps
+    def drifting(z):
+        rows = original(z)
+        built.append(rows)
+        drifted = rows.copy()
+        if len(built) == 2:  # the second chunk, so its row 1 is sample CHUNK + 1
+            drifted[1] *= 1.0 + 1e-6
+        return drifted
 
-    monkeypatch.setattr(polco.states, "_haar_amplitudes", drifting)
+    monkeypatch.setattr(polco.states, "_haar_rows", drifting)
     with pytest.raises(ValidationError) as raised:
         run_campaign("qutrit-duality", CHUNK + 5, seed=4)
     with pytest.raises(ValidationError) as expected:
-        StateVector(drawn[CHUNK + 1] * (1.0 + 1e-6))
+        StateVector(built[1][1] * (1.0 + 1e-6))
     assert str(raised.value) == str(expected.value)
 
 

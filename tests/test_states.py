@@ -22,7 +22,15 @@ from polco import (
     random_mixed,
     state_to_json,
 )
-from polco.states import CHUNK, _child_words, _mixed_from, _root_pool, _unitaries, _words_seed
+from polco.states import (
+    CHUNK,
+    _child_words,
+    _haar_rows,
+    _mixed_from,
+    _root_pool,
+    _unitaries,
+    _words_seed,
+)
 
 
 # --- beam mapping --------------------------------------------------------
@@ -257,6 +265,29 @@ def test_random_mixed_equals_the_dirichlet_route_bit_for_bit(equal_weights):
                 assert got.tobytes() == _dirichlet_route(dim, rank, theirs, equal_weights).tobytes()
                 assert ours.bit_generator.state == theirs.bit_generator.state
                 assert ours.standard_normal() == theirs.standard_normal()
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_stacked_haar_norm_equals_np_linalg_norm_bit_for_bit(dim):
+    # campaigns normalize a chunk's rows with two stacked matmuls; rows far
+    # from unit norm, near the overflow and underflow of their squares, too
+    rng = np.random.default_rng(dim)
+    z = (rng.standard_normal((240, dim)) + 1j * rng.standard_normal((240, dim))) / np.sqrt(2.0)
+    z *= np.repeat([1.0, 1e3, 1e-3, 1e150, 1e-150], 48)[:, None]
+    expected = np.stack([row / np.linalg.norm(row) for row in z])
+    assert _haar_rows(z).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 9), (2, 3, 3)])
+def test_drawing_into_a_buffer_row_draws_the_samplers_bits(shape):
+    # a campaign stream fills row i of its chunk's buffers with out=
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    normals, weights = np.empty((4, *shape)), np.empty((4, 3))
+    ours.standard_normal(out=normals[2])
+    ours.standard_exponential(out=weights[1, :2])
+    assert normals[2].tobytes() == theirs.standard_normal(shape).tobytes()
+    assert weights[1, :2].tobytes() == theirs.standard_exponential(2).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # --- seeds ----------------------------------------------------------------
