@@ -10,6 +10,7 @@ and read both as a :class:`ValidationReport` and by the measure kernel.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass
 from numbers import Integral
@@ -101,12 +102,19 @@ class ValidationReport:
 
 def _density_checks(m: np.ndarray):
     """Per matrix of a ``(..., n, n)`` complex stack: Hermitian defect,
-    least eigenvalue of the Hermitian part, and trace.
+    least eigenvalue of the Hermitian part H, and trace.
 
     The one place a density matrix is diagonalized: :func:`validate_density`
     reads one matrix's values as a report, ``measures._as_density`` a
     stack's as a pass or its first failure.  A matrix with non-finite
-    entries is not diagonalized, and all three of its values read NaN.
+    entries is not diagonalized, and all three of its values read NaN; nor
+    is a stack, Hermitian within TAU_HERM with traces above TAU_NORM, whose
+    H + (TAU_PSD / 2) I pass one Cholesky: its least eigenvalues read None.
+    Cholesky is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10), so that proves lambda_min >= -TAU_PSD / 2 -
+    n (n + 1) u tr H, and ``eigvalsh`` would pass every matrix the gate passes
+    while n (n + 1) u tr H < TAU_PSD / 4, as it is at unit trace.  A single
+    matrix, where one Cholesky costs what ``eigvalsh`` does, is diagonalized.
     """
     finite = None
     if not np.isfinite(m).all():
@@ -114,8 +122,13 @@ def _density_checks(m: np.ndarray):
         m = np.where(finite[..., None, None], m, 0.0)  # eigvalsh cannot take non-finite entries
     adjoint = m.conj().swapaxes(-1, -2)
     defect = np.abs(m - adjoint).max(axis=(-2, -1))
-    min_eigenvalue = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
+    hermitian = (m + adjoint) / 2.0
     trace = m.diagonal(0, -2, -1).sum(axis=-1)
+    if m.ndim > 2 and finite is None and (defect <= TAU_HERM).all() and (trace.real > TAU_NORM).all():
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(hermitian + np.eye(m.shape[-1]) * (TAU_PSD / 2.0))
+            return defect, None, trace
+    min_eigenvalue = np.linalg.eigvalsh(hermitian)[..., 0]
     if finite is not None:
         defect, min_eigenvalue, trace = (np.where(finite, x, np.nan) for x in (defect, min_eigenvalue, trace))
     return defect, min_eigenvalue, trace

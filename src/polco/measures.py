@@ -34,21 +34,22 @@ def _as_density(m, dims=(2, 3)) -> np.ndarray:
     """Validate and trace-normalize a complex128 stack ``(..., n, n)``, n >= 1, of
     density matrices, as :func:`as_complex_matrix` or an in-package stack gives it.
 
-    The checks are :func:`validate_density`'s, run once over the whole
-    stack; a failing stack raises the error its first failing matrix's
-    report names.
+    The checks are :func:`validate_density`'s, run once over the whole stack,
+    behind a Cholesky PSD gate that spares ``eigvalsh`` on passing stacks; a
+    failing stack raises the error its first failing matrix's report names.
     """
     n = m.shape[-1]
     if dims is not None and n not in dims:
         raise UnsupportedDimension(f"expected dim in {dims}, got {n}")
     defect, min_eigenvalue, trace = _density_checks(m)
-    ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace.real > TAU_NORM)
-    if np.count_nonzero(ok) < ok.size:
-        k = np.unravel_index(np.argmin(ok), ok.shape)
-        report = _density_report(defect[k], min_eigenvalue[k], trace[k], require_unit_trace=False)
-        if not (report.hermitian and report.psd):
-            raise ValidationError("; ".join(report.messages))
-        raise ValidationError(f"trace {report.trace!r} is not positive")
+    if min_eigenvalue is not None:  # None: the Cholesky gate passed every matrix
+        ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace.real > TAU_NORM)
+        if np.count_nonzero(ok) < ok.size:
+            k = np.unravel_index(np.argmin(ok), ok.shape)
+            report = _density_report(defect[k], min_eigenvalue[k], trace[k], require_unit_trace=False)
+            if not (report.hermitian and report.psd):
+                raise ValidationError("; ".join(report.messages))
+            raise ValidationError(f"trace {report.trace!r} is not positive")
     # the divisor is the real diagonal's sum, not trace.real: the two round
     # differently for n >= 4, and normalized values keep their bits across versions
     scale = m.diagonal(0, -2, -1).real.sum(axis=-1)

@@ -24,7 +24,7 @@ from .errors import DegenerateInput, DimensionError, PreconditionError, UnknownS
 from .linalg import StateVector, _is_int, _require_unit_norm
 
 _SQRT2 = np.sqrt(2.0)
-CHUNK = 256  # campaign samples seeded, drawn and built together
+CHUNK = 1024  # campaign samples seeded, drawn and built together: the CLI's default 1000 in one
 
 
 @dataclass(frozen=True)
@@ -188,14 +188,14 @@ def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
         words = _child_words(root, start, min(CHUNK, n - start))
         g = np.empty((len(words), 2, *((dim, dim) if mixed else (dim,))))
         e = np.empty((len(words), dim))
-        ranks = [i % dim + 1 if rank is None else rank for i in range(start, start + len(words))]
-        for row, normals, weights, r in zip(words, g, e, ranks):
+        for row, normals, weights in zip(words, g, e):
             rng = np.random.Generator(np.random.PCG64(seeded(row)))
             rng.standard_normal(out=normals)
             if mixed:
-                rng.standard_exponential(out=weights[:r])
+                rng.standard_exponential(out=weights)
         z = (g[:, 0] + 1j * g[:, 1]) / _SQRT2
         if mixed:
+            ranks = np.arange(start, start + len(words)) % dim + 1 if rank is None else np.full(len(words), rank)
             yield _mixed_stack(z, e, ranks)
         else:
             samples = _haar_rows(z)
@@ -251,13 +251,14 @@ def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _mixed_stack(z: np.ndarray, e: np.ndarray, ranks) -> np.ndarray:
+def _mixed_stack(z: np.ndarray, e: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """``random_mixed`` of each Ginibre ``z[i]`` and exponentials ``e[i, :ranks[i]]``,
-    bit for bit: one QR and, per rank, one simplex and one projector sum."""
+    bit for bit: one QR and, per rank, one simplex and one projector sum.  A row of ``e``
+    holds all dim exponentials, its stream's last draws, so rank r reads random_mixed's r."""
     u = _unitaries(z)
     out = np.empty_like(u)
-    for rank in set(ranks):  # not np.unique, whose first call imports numpy.ma
-        group = [i for i, r in enumerate(ranks) if r == rank]
+    for rank in range(1, u.shape[-1] + 1):  # not np.unique, whose first call imports numpy.ma
+        group = np.flatnonzero(ranks == rank)
         out[group] = _mixed_from(u[group], _simplex(e[group, :rank]))
     return out
 

@@ -341,6 +341,16 @@ def test_verify_tol_must_be_finite_and_positive(capsys, tol):
     assert "tolerance must be finite and > 0" in err
 
 
+def test_verify_negative_tol_in_exponent_form_needs_the_equals_sign(capsys):
+    # argparse reads a separate "-1e-9" as an option, so only "--tol=-1e-9" reaches polco
+    verify = ("verify", "--relation", "qubit-duality", "--samples", "5")
+    code, out, err = run_cli(capsys, *verify, "--tol", "-1e-9")
+    assert (code, out) == (2, "") and "argument --tol: expected one argument" in err
+    assert "tolerance must be finite and > 0" not in err
+    code, out, err = run_cli(capsys, *verify, "--tol=-1e-9")
+    assert (code, out, err) == (2, "", "error: tolerance must be finite and > 0, got -1e-09\n")
+
+
 @pytest.mark.parametrize(
     "relation,rank",
     [("qutrit-mixed-triality", "0"), ("qutrit-triality", "2"), ("pct", "5")],

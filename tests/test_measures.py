@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polco import (
     TAU_NORM,
+    TAU_PSD,
     DimensionError,
     StateVector,
     UnsupportedDimension,
@@ -324,6 +325,66 @@ def test_stack_is_accepted_iff_each_matrix_validates(n, kinds, seed):
     with pytest.raises(ValidationError) as caught:
         _as_density(np.stack(mats))
     assert str(caught.value) == expected
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the stacks ``np.linalg.eigvalsh`` diagonalizes."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def _outcome(stack):
+    """A stack's normalized bytes, or the message of the ValidationError it raises."""
+    try:
+        return _as_density(stack, dims=None).tobytes()
+    except ValidationError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("floor", [-1.01, -0.99, -0.505, -0.495])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_the_cholesky_gate_decides_as_eigvalsh(eigvalsh_calls, monkeypatch, n, floor, scale):
+    # least eigenvalue floor * TAU_PSD, on both sides of the PSD floor -TAU_PSD and
+    # of the gate's shift TAU_PSD / 2; the reference is the same stack with no gate
+    rng = np.random.default_rng(n)
+    stacks = []
+    for _ in range(50):
+        eigenvalues = np.concatenate([[floor * TAU_PSD], scale * rng.uniform(0.1, 1.0, n - 1)])
+        u = haar_unitary(n, rng)
+        stacks.append(np.stack([np.eye(n) / n, (u * eigenvalues) @ u.conj().T, np.eye(n) / n]))
+    gated = [_outcome(stack) for stack in stacks]
+    assert all(isinstance(outcome, str) == (floor < -1) for outcome in gated)
+    if scale == 1.0:  # the gate passes a stack exactly when its shift clears the floor
+        assert len(eigvalsh_calls) == (0 if floor > -0.5 else len(stacks))
+
+    def failing(a):
+        raise np.linalg.LinAlgError("no gate")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    assert [_outcome(stack) for stack in stacks] == gated
+
+
+@pytest.mark.parametrize("kind", ["good", *sorted(BAD_MATRICES)])
+def test_eigvalsh_runs_only_to_name_a_failure_or_report(eigvalsh_calls, kind):
+    stack = np.stack([random_mixed(3, i % 3 + 1, i) for i in range(7)])
+    if kind == "good":
+        _as_density(stack)
+    else:
+        stack[4] = BAD_MATRICES[kind]
+        with pytest.raises(ValidationError):
+            _as_density(stack)
+    assert eigvalsh_calls == ([] if kind == "good" else [(7, 3, 3)])
+    validate_density(stack[4])
+    assert len(eigvalsh_calls) == (1 if kind == "good" else 2)
 
 
 # --- global phase and report ----------------------------------------------

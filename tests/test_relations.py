@@ -46,6 +46,9 @@ from polco import (
 from polco.states import CHUNK
 
 FOUR_THIRDS = 4.0 / 3.0
+# Campaign tests run at this chunk size: n = chunk + 5 and 2 * chunk + 5 cross one
+# and two chunk boundaries, as at the real CHUNK, in a fraction of the samples.
+SMALL_CHUNK = 16
 
 
 # --- duality ---------------------------------------------------------------
@@ -331,6 +334,12 @@ def test_campaign_rejects_mistyped_arguments(bad):
 
 
 @pytest.fixture
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(polco.states, "CHUNK", SMALL_CHUNK)
+    return SMALL_CHUNK
+
+
+@pytest.fixture
 def validated(monkeypatch):
     """Matrices per call of the batched density validator."""
     calls = []
@@ -345,9 +354,14 @@ def validated(monkeypatch):
 
 
 @pytest.mark.parametrize("relation", relation_ids())
-def test_each_campaign_sample_is_validated_once(validated, relation):
-    run_campaign(relation, CHUNK + 5, seed=17)
-    assert sum(validated) == (0 if relation == "stokes-geometry" else CHUNK + 5)
+def test_each_campaign_sample_is_validated_once(validated, small_chunk, monkeypatch, relation):
+    # and never diagonalized: the Cholesky gate passes every chunk of a valid campaign
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh inside a valid campaign")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    run_campaign(relation, small_chunk + 5, seed=17)
+    assert sum(validated) == (0 if relation == "stokes-geometry" else small_chunk + 5)
 
 
 @pytest.mark.parametrize(
@@ -375,7 +389,7 @@ def test_each_single_check_is_validated_once(validated, checker, sample, matrice
 
 
 @pytest.mark.parametrize("relation", relation_ids())
-def test_campaign_evaluates_whole_chunks(validated, monkeypatch, relation):
+def test_campaign_evaluates_whole_chunks(validated, small_chunk, monkeypatch, relation):
     # the campaign path never goes through a per-sample check_* or its fingerprint
     def forbidden(*args, **kwargs):
         raise AssertionError("per-sample call inside a campaign")
@@ -384,13 +398,13 @@ def test_campaign_evaluates_whole_chunks(validated, monkeypatch, relation):
     for name in dir(polco.relations):
         if name.startswith("check_"):
             monkeypatch.setattr(polco.relations, name, forbidden)
-    run_campaign(relation, 2 * CHUNK + 5, seed=3)
+    run_campaign(relation, 2 * small_chunk + 5, seed=3)
     assert len(validated) <= 3
-    assert all(size <= CHUNK for size in validated)
+    assert all(size <= small_chunk for size in validated)
 
 
 @pytest.mark.parametrize("relation", relation_ids())
-def test_campaign_samples_whole_chunks(monkeypatch, relation):
+def test_campaign_samples_whole_chunks(monkeypatch, small_chunk, relation):
     # one stacked QR per chunk, and no sampler, complex build, Haar norm or
     # StateVector per sample: the streams only draw
     def forbidden(*args, **kwargs):
@@ -410,7 +424,7 @@ def test_campaign_samples_whole_chunks(monkeypatch, relation):
         return qr(z, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    run_campaign(relation, 2 * CHUNK + 5, seed=3)
+    run_campaign(relation, 2 * small_chunk + 5, seed=3)
     *_, mixed = polco.relations._RELATIONS[relation]
     assert len(qr_calls) == (3 if mixed else 0)
 
@@ -434,8 +448,8 @@ def _campaign_stacks(monkeypatch, relation, n, seed, params=None):
     [("qubit-mixed-triality", None), ("pct", 1), ("pct", 2), ("qutrit-mixed-triality", None),
      ("qutrit-mixed-triality", 1), ("qutrit-mixed-triality", 2), ("qutrit-mixed-triality", 3)],
 )
-def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, relation, rank):
-    dim, n = math.prod(polco.relations._RELATIONS[relation][1]), CHUNK + 5
+def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, small_chunk, relation, rank):
+    dim, n = math.prod(polco.relations._RELATIONS[relation][1]), small_chunk + 5
     params = None if rank is None else {"rank": rank}
     stacks = _campaign_stacks(monkeypatch, relation, n, 21, params)
     streams = np.random.SeedSequence(21).spawn(n)
@@ -450,8 +464,8 @@ def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, relation, rank
 @pytest.mark.parametrize(
     "relation", ["qubit-duality", "qutrit-duality", "qubit-triality", "qutrit-triality"]
 )
-def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, relation):
-    shape, n = polco.relations._RELATIONS[relation][1], CHUNK + 5
+def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, small_chunk, relation):
+    shape, n = polco.relations._RELATIONS[relation][1], small_chunk + 5
     stacks = _campaign_stacks(monkeypatch, relation, n, 22)
     streams = np.random.SeedSequence(22).spawn(n)
     expected = np.stack([haar_pure(math.prod(shape), np.random.default_rng(s)).amplitudes for s in streams])
@@ -459,12 +473,25 @@ def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, relation):
     assert stacks.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("relation", ["qutrit-triality", "qutrit-mixed-triality"])
+def test_chunks_of_the_real_size_equal_the_samplers_bit_for_bit(monkeypatch, relation):
+    # the tests above run at SMALL_CHUNK; this one crosses the boundary of the real CHUNK
+    _, shape, mixed = polco.relations._RELATIONS[relation]
+    dim, n = math.prod(shape), CHUNK + 5
+    rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(23).spawn(n)]
+    if mixed:
+        expected = np.stack([random_mixed(dim, i % dim + 1, rng) for i, rng in enumerate(rngs)])
+    else:
+        expected = np.stack([haar_pure(dim, rng).amplitudes.reshape(shape) for rng in rngs])
+    assert _campaign_stacks(monkeypatch, relation, n, 23).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("relation", relation_ids())
-def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, relation):
+def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, small_chunk, relation):
     # child streams come from (seed, index) alone: one root SeedSequence per
     # campaign gives the seed's pool, default_rng is never called, and each
     # child's PCG64 is seeded from its derived words
-    expected = run_campaign(relation, 2 * CHUNK + 5, 2**32 + 9)
+    expected = run_campaign(relation, 2 * small_chunk + 5, 2**32 + 9)
     built = []
 
     class RootOnly(np.random.SeedSequence):
@@ -480,11 +507,11 @@ def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, r
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     monkeypatch.setattr(np.random, "SeedSequence", RootOnly)
-    assert run_campaign(relation, 2 * CHUNK + 5, 2**32 + 9) == expected
+    assert run_campaign(relation, 2 * small_chunk + 5, 2**32 + 9) == expected
     assert built == [(2**32 + 9,)]
 
 
-def test_campaign_rejects_an_unnormalized_sample(monkeypatch):
+def test_campaign_rejects_an_unnormalized_sample(monkeypatch, small_chunk):
     # the stacked unit-norm test raises what StateVector raises for that sample
     built = []
     original = polco.states._haar_rows
@@ -493,13 +520,13 @@ def test_campaign_rejects_an_unnormalized_sample(monkeypatch):
         rows = original(z)
         built.append(rows)
         drifted = rows.copy()
-        if len(built) == 2:  # the second chunk, so its row 1 is sample CHUNK + 1
+        if len(built) == 2:  # the second chunk, so its row 1 is sample small_chunk + 1
             drifted[1] *= 1.0 + 1e-6
         return drifted
 
     monkeypatch.setattr(polco.states, "_haar_rows", drifting)
     with pytest.raises(ValidationError) as raised:
-        run_campaign("qutrit-duality", CHUNK + 5, seed=4)
+        run_campaign("qutrit-duality", small_chunk + 5, seed=4)
     with pytest.raises(ValidationError) as expected:
         StateVector(built[1][1] * (1.0 + 1e-6))
     assert str(raised.value) == str(expected.value)
@@ -522,12 +549,12 @@ SAMPLED = {
 @given(
     relation=st.sampled_from(sorted(SAMPLED)),
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, CHUNK + 5),
+    n=st.integers(1, 3 * SMALL_CHUNK + 5),
     rank=st.integers(0, 3),
     tol=st.sampled_from([1e-9, 1e-15]),
 )
-@example(relation="qubit-triality", seed=3, n=CHUNK + 5, rank=0, tol=1e-15)
-@example(relation="qutrit-mixed-triality", seed=8, n=CHUNK + 1, rank=2, tol=1e-15)
+@example(relation="qubit-triality", seed=3, n=SMALL_CHUNK + 5, rank=0, tol=1e-15)
+@example(relation="qutrit-mixed-triality", seed=8, n=SMALL_CHUNK + 1, rank=2, tol=1e-15)
 def test_campaign_equals_a_loop_of_single_checks(relation, seed, n, rank, tol):
     check, dim, split, mixed = SAMPLED[relation]
     rank = 1 + (rank - 1) % dim if mixed and rank else None
@@ -542,7 +569,9 @@ def test_campaign_equals_a_loop_of_single_checks(relation, seed, n, rank, tol):
         residuals.append(verdict.residual)
         failures += not verdict.passed
     params = None if rank is None else {"rank": rank}
-    summary = run_campaign(relation, n, seed, params=params, tol=tol)
+    with pytest.MonkeyPatch.context() as patch:  # not the fixture, which @given would share
+        patch.setattr(polco.states, "CHUNK", SMALL_CHUNK)
+        summary = run_campaign(relation, n, seed, params=params, tol=tol)
     assert summary.max_residual == max(residuals)
     assert summary.mean_residual == float(np.mean(residuals))
     assert summary.failures == failures

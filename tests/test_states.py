@@ -310,11 +310,11 @@ def test_samplers_take_integer_seeds_as_default_rng_does(seed):
 # --- campaign child streams -------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1, 123, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 2**160 + 7])
-@pytest.mark.parametrize("start", [0, CHUNK, 2**32 - 2])
+@pytest.mark.parametrize("start", [0, 256, 2**32 - 2])
 def test_child_states_equal_default_rng_of_spawned_children(seed, start):
-    # the chunk from 2^32 - 2 holds spawn keys of one and of two uint32 words
-    words = _child_words(_root_pool(seed), start, CHUNK)
-    assert words.shape == (CHUNK, 4) and words.dtype == np.uint64
+    # 256 children from each start; those from 2^32 - 2 hold spawn keys of one and of two uint32 words
+    words = _child_words(_root_pool(seed), start, 256)
+    assert words.shape == (256, 4) and words.dtype == np.uint64
     for i, row in enumerate(words, start):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
         assert row.tobytes() == child.generate_state(4, np.uint64).tobytes()
