@@ -195,6 +195,8 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, keep: str = "A") -> np.ndar
     trace is preserved up to rounding.
     """
     rho = as_complex_matrix(rho)
+    if not (_is_int(dA) and _is_int(dB)):
+        raise DimensionError(f"partial_trace needs integer dA and dB, got {dA!r} and {dB!r}")
     if dA < 1 or dB < 1 or rho.shape[0] != dA * dB:
         raise DimensionError(f"matrix of dim {rho.shape[0]} does not factor as {dA}x{dB}")
     blocks = rho.reshape(dA, dB, dA, dB)

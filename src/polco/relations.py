@@ -15,10 +15,10 @@ E^2 = kappa M^2, and report the worst of the three clause residuals, so
 ``passed`` covers all of them.
 
 Campaigns take their samples from ``states._campaign_samples``, which
-seeds sample *i* from child *i* of ``np.random.SeedSequence(seed)`` and
-yields one chunk's stack at a time; each stack is evaluated at once, so
-a campaign holds one chunk of samples whatever its size, plus 8 bytes
-of residual per sample.
+draws them from the two children of ``np.random.SeedSequence(seed)``
+and yields one chunk's stack at a time; each stack is evaluated at
+once, so a campaign holds one chunk of samples whatever its size, plus
+8 bytes of residual per sample.
 
 For mixed bipartite parents the concurrence-form triality is only an
 inequality and is deliberately not checked as an identity; the
@@ -78,7 +78,13 @@ class CampaignSummary:
     tolerance: float
 
 
+def _require_tol(tol) -> None:
+    if not (isinstance(tol, Real) and not isinstance(tol, bool) and math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
+
+
 def _verdict(relation_id, evaluated, tolerance, ref) -> RelationVerdict:
+    _require_tol(tolerance)
     lhs, rhs, residual = evaluated
     return RelationVerdict(
         relation_id=relation_id,
@@ -255,10 +261,12 @@ def run_campaign(
 ) -> CampaignSummary:
     """Evaluate one relation over ``n`` seeded random samples.
 
-    Sample *i* is drawn from the stream ``default_rng`` gives child *i*
-    of ``SeedSequence(seed)``, derived without building either, so the
-    aggregation (max / mean / failure count) does not depend on
-    evaluation order.  Failing samples are counted, never raised.
+    Sample *i* is the *i*-th ``haar_pure(dim, normals)`` or, for pct and
+    the mixed trialities, the *i*-th ``haar_unitary(dim, normals)`` with
+    Dirichlet weights from the *i*-th row of ``dim`` exponentials; the two
+    streams are ``default_rng`` of ``SeedSequence(seed).spawn(2)``.  A
+    campaign of ``n`` is a prefix of one of ``n + k``, whatever ``CHUNK``.
+    Failing samples are counted, never raised.
     ``params={"rank": r}`` pins the rank, 1..dim, of the density
     matrices sampled for pct and the mixed trialities.  ``params`` must
     be None or a dict with no key but ``"rank"``, ``n`` and ``rank``
@@ -270,8 +278,7 @@ def run_campaign(
         raise UnknownRelation(f"unknown relation {relation_id!r}; known: {known}")
     if not (_is_int(n) and n >= 1):
         raise PreconditionError(f"campaign needs an integer n >= 1, got {n!r}")
-    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
-        raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
+    _require_tol(tol)
     _require_seed(seed)
     evaluate, shape, mixed = _RELATIONS[relation_id]
     dim = math.prod(shape)

@@ -2,21 +2,18 @@
 
 Randomness comes from numpy's PCG64 via ``np.random.default_rng``; a
 fixed integer seed reproduces the sample stream bit-for-bit on the same
-build.  Campaigns give sample *i* the stream of child *i* of
-``np.random.SeedSequence(seed)``, so per-sample streams stay independent
-of evaluation order.  Those children are never built: their seed words
-are derived from ``(seed, i)`` a chunk at a time, exactly as
-``SeedSequence(seed).spawn(n)`` would derive them, and numpy's PCG64 is
-seeded from each child's derived words, as ``default_rng`` seeds it.
-A campaign's streams only draw numbers, into one buffer per chunk; the
-chunk is then built once: one complex build, one Haar norm or one QR and
-one projector sum per rank, with the samplers' one-sample bits.
+build.  A campaign draws from two streams, the children of
+``np.random.SeedSequence(seed).spawn(2)``: one for every sample's
+normals and one for a mixed sample's Dirichlet exponentials, so sample
+*i* is what the samplers build from the *i*-th draws of each.  A chunk
+of samples is one draw per stream and is then built once: one complex
+build, one Haar norm or one QR and one projector sum per rank, with the
+samplers' one-sample bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +21,7 @@ from .errors import DegenerateInput, DimensionError, PreconditionError, UnknownS
 from .linalg import StateVector, _is_int, _require_unit_norm
 
 _SQRT2 = np.sqrt(2.0)
-CHUNK = 1024  # campaign samples seeded, drawn and built together: the CLI's default 1000 in one
+CHUNK = 1024  # campaign samples drawn and built together: the CLI's default 1000 in one
 
 
 @dataclass(frozen=True)
@@ -98,105 +95,20 @@ def _rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)  # a Generator comes back unaltered
 
 
-# ---------------------------------------------------------------------------
-# Child streams of SeedSequence(seed) without building them.  numpy's
-# SeedSequence hashes its entropy words into a pool of four uint32 words;
-# child i's entropy is the seed's words, zero-padded to the pool size,
-# then the words of i.  The seed's pool comes from numpy; each later step
-# is numpy's (bit_generator.pyx), masked to wrap as uint32 on Python ints.
-# ---------------------------------------------------------------------------
-
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hash
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state hash
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-
-
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """(hashed value, next hash constant), for a Python int or a uint32 array."""
-    following = hash_const * mult & _MASK32
-    value = (value ^ hash_const) * following & _MASK32
-    return value ^ value >> 16, following
-
-
-def _mix(x, y):
-    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return value ^ value >> 16
-
-
-def _absorb(pool: list, word, hash_const: int):
-    """Mix one entropy word (or a uint32 array of them) into every pool word."""
-    out = []
-    for x in pool:
-        hashed, hash_const = _hashmix(word, hash_const)
-        out.append(_mix(x, hashed))
-    return out, hash_const
-
-
-def _root_pool(seed: int):
-    """The pool every child of ``SeedSequence(seed)`` shares before its spawn key,
-    and the hash constant the key's words continue from.  numpy mixes the seed's
-    words (at least ``_POOL`` of them) with ``_POOL`` hashes each, and every hash
-    multiplies the constant by ``_MULT_A``."""
-    seed = int(seed)  # SeedSequence and bit_length need a Python int
-    words = max(_POOL, -(-seed.bit_length() // 32))
-    hash_const = _INIT_A * pow(_MULT_A, _POOL * words, 1 << 32) & _MASK32
-    return np.random.SeedSequence(seed).pool.tolist(), hash_const
-
-
-def _child_words(root, start: int, count: int) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of children ``start .. start + count - 1``
-    of the seed ``root`` was mixed from, one ``(count, 4)`` uint64 row each."""
-    pool, hash_const = root
-    keys = np.arange(start, start + count, dtype=np.uint64)
-    pool, hash_const = _absorb(pool, (keys & _MASK32).astype(np.uint32), hash_const)
-    wide = keys > _MASK32  # keys from 2^32 on are two words
-    if wide.any():
-        longer, _ = _absorb(pool, (keys >> 32).astype(np.uint32), hash_const)
-        pool = [np.where(wide, two, one) for one, two in zip(pool, longer)]
-    words, hash_const = [], _INIT_B  # 8 uint32 words, each pair low word first
-    for k in range(8):
-        word, hash_const = _hashmix(pool[k % _POOL], hash_const, _MULT_B)
-        words.append(word.astype(np.uint64))
-    return np.stack(words[::2], axis=-1) | np.stack(words[1::2], axis=-1) << 32
-
-
-@lru_cache(maxsize=None)
-def _words_seed() -> type:
-    """``_Words(row)``: a child's ``generate_state(4, np.uint64)`` row, for PCG64 to seed
-    from in place of its SeedSequence; built on first use, as subclassing numpy's
-    ISeedSequence imports numpy.random, which ``import polco`` does not."""
-
-    class _Words(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return _Words
-
-
 def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
-    """Yield, ``CHUNK`` at a time, the stacked samples of a campaign: sample *i* from
-    the stream ``default_rng`` gives child *i* of ``SeedSequence(seed)``, which only
-    draws into the chunk's buffers.  Mixed samples are ``(dim, dim)`` density matrices
-    of rank ``rank``, or ``i % dim + 1`` if None; pure ones unit ``(dim,)`` amplitudes."""
-    root, seeded = _root_pool(seed), _words_seed()
+    """Yield, ``CHUNK`` at a time, a campaign's stacked samples: the *i*-th is built as
+    ``haar_pure(dim, normals)`` or ``random_mixed`` builds one, from the *i*-th draws of
+    the ``normals`` and ``exponentials`` streams, so no sample depends on ``CHUNK``.
+    Mixed samples are ``(dim, dim)`` density matrices of rank ``rank``, or ``i % dim + 1``
+    if None; pure ones unit ``(dim,)`` amplitudes."""
+    normals, exponentials = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     for start in range(0, n, CHUNK):
-        words = _child_words(root, start, min(CHUNK, n - start))
-        g = np.empty((len(words), 2, *((dim, dim) if mixed else (dim,))))
-        e = np.empty((len(words), dim))
-        for row, normals, weights in zip(words, g, e):
-            rng = np.random.Generator(np.random.PCG64(seeded(row)))
-            rng.standard_normal(out=normals)
-            if mixed:
-                rng.standard_exponential(out=weights)
+        count = min(CHUNK, n - start)
+        g = normals.standard_normal((count, 2, *((dim, dim) if mixed else (dim,))))
         z = (g[:, 0] + 1j * g[:, 1]) / _SQRT2
         if mixed:
-            ranks = np.arange(start, start + len(words)) % dim + 1 if rank is None else np.full(len(words), rank)
-            yield _mixed_stack(z, e, ranks)
+            ranks = np.arange(start, start + count) % dim + 1 if rank is None else np.full(count, rank)
+            yield _mixed_stack(z, exponentials.standard_exponential((count, dim)), ranks)
         else:
             samples = _haar_rows(z)
             _require_unit_norm(samples)
@@ -252,9 +164,9 @@ def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _mixed_stack(z: np.ndarray, e: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """``random_mixed`` of each Ginibre ``z[i]`` and exponentials ``e[i, :ranks[i]]``,
-    bit for bit: one QR and, per rank, one simplex and one projector sum.  A row of ``e``
-    holds all dim exponentials, its stream's last draws, so rank r reads random_mixed's r."""
+    """The density matrix ``random_mixed`` builds from each Ginibre ``z[i]`` and the
+    exponentials ``e[i, :ranks[i]]``, bit for bit: one QR and, per rank, one simplex
+    and one projector sum."""
     u = _unitaries(z)
     out = np.empty_like(u)
     for rank in range(1, u.shape[-1] + 1):  # not np.unique, whose first call imports numpy.ma

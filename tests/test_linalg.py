@@ -175,6 +175,13 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(4) / 4, 2, 3, "A")
 
 
+@pytest.mark.parametrize("dA,dB", [(2.0, 2.0), (True, 4), (4, True), ("2", 2)])
+def test_partial_trace_needs_integer_dimensions(dA, dB):
+    with pytest.raises(DimensionError, match="integer dA and dB"):
+        partial_trace(np.eye(4) / 4, dA, dB)
+    assert partial_trace(np.eye(4) / 4, np.int64(2), np.int64(2)).shape == (2, 2)
+
+
 # --- rows of the amplitude table: Gram and wedge route ----------------------
 
 def test_slice_gram_matches_partial_trace():

@@ -325,7 +325,8 @@ def test_campaign_rejects_bad_tolerance(tol):
     [{"n": 2.0}, {"n": "3"}, {"params": {"rank": 1.5}}, {"tol": "x"}, {"tol": 1j},
      {"seed": "a"}, {"seed": -1}, {"seed": 1.0},
      {"n": True}, {"seed": True}, {"seed": False}, {"params": {"rank": True}},
-     {"params": 2}, {"params": [("rank", 2)]}, {"params": {"rnak": 2}}, {"params": {"rank": 2, "extra": 1}}],
+     {"params": 2}, {"params": [("rank", 2)]}, {"params": {"rnak": 2}}, {"params": {"rank": 2, "extra": 1}},
+     {"tol": True}],
 )
 def test_campaign_rejects_mistyped_arguments(bad):
     arguments = {"relation_id": "pct", "n": 2, "seed": 0, **bad}
@@ -372,20 +373,28 @@ def test_triality_subsystem_b_is_validated_once(validated, checker, dim):
     assert validated == [1]
 
 
-@pytest.mark.parametrize(
-    "checker,sample,matrices",
-    [
-        (check_duality_pure, haar_pure(3, 4), [1]),
-        (check_pct, random_mixed(2, 2, 4), [1]),
-        (check_qubit_triality_pure, haar_pure(4, 4, split=(2, 2)), [1]),
-        (check_qutrit_triality_pure, haar_pure(9, 4, split=(3, 3)), [1]),
-        (check_mixed_triality, random_mixed(3, 2, 4), [1]),
-        (check_pure_stokes_geometry, haar_pure(3, 4), []),
-    ],
-)
+# check -> one valid input, and the matrices it validates
+SINGLE_CHECKS = [
+    (check_duality_pure, haar_pure(3, 4), [1]),
+    (check_pct, random_mixed(2, 2, 4), [1]),
+    (check_qubit_triality_pure, haar_pure(4, 4, split=(2, 2)), [1]),
+    (check_qutrit_triality_pure, haar_pure(9, 4, split=(3, 3)), [1]),
+    (check_mixed_triality, random_mixed(3, 2, 4), [1]),
+    (check_pure_stokes_geometry, haar_pure(3, 4), []),
+]
+
+
+@pytest.mark.parametrize("checker,sample,matrices", SINGLE_CHECKS)
 def test_each_single_check_is_validated_once(validated, checker, sample, matrices):
     checker(sample)
     assert validated == matrices
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True])
+@pytest.mark.parametrize("checker,sample", [(checker, sample) for checker, sample, _ in SINGLE_CHECKS])
+def test_checks_reject_a_tolerance_that_is_not_finite_and_positive(checker, sample, tol):
+    with pytest.raises(PreconditionError, match="tolerance must be finite and > 0"):
+        checker(sample, tol=tol)
 
 
 @pytest.mark.parametrize("relation", relation_ids())
@@ -429,7 +438,7 @@ def test_campaign_samples_whole_chunks(monkeypatch, small_chunk, relation):
     assert len(qr_calls) == (3 if mixed else 0)
 
 
-def _campaign_stacks(monkeypatch, relation, n, seed, params=None):
+def _campaign_stacks(relation, n, seed, params=None):
     """The sample stacks a campaign evaluates, concatenated."""
     evaluate, *entry = polco.relations._RELATIONS[relation]
     stacks = []
@@ -438,9 +447,26 @@ def _campaign_stacks(monkeypatch, relation, n, seed, params=None):
         stacks.append(samples.copy())
         return evaluate(samples)
 
-    monkeypatch.setitem(polco.relations._RELATIONS, relation, (capture, *entry))
-    run_campaign(relation, n, seed, params=params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(polco.relations._RELATIONS, relation, (capture, *entry))
+        run_campaign(relation, n, seed, params=params)
     return np.concatenate(stacks)
+
+
+def _two_stream_samples(seed, n, dim, mixed, rank=None, split=None):
+    """A campaign's samples by its stream contract, one sampler call at a time: the
+    i-th ``haar_pure(dim, normals)``, or the i-th ``haar_unitary(dim, normals)`` with
+    Dirichlet weights from the i-th row of dim exponentials, of rank ``i % dim + 1``
+    unless ``rank`` pins one.  ``random_mixed`` draws both kinds of number from one
+    stream, so mixed samples are built inline, weights normalized by their in-order sum."""
+    normals, exponentials = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    for i in range(n):
+        if not mixed:
+            yield haar_pure(dim, normals, split=split)
+            continue
+        vecs = haar_unitary(dim, normals)[:, : i % dim + 1 if rank is None else rank]
+        e = exponentials.standard_exponential(dim)[: vecs.shape[1]]
+        yield (vecs * (e * (1.0 / sum(e)))) @ vecs.conj().T
 
 
 @pytest.mark.parametrize(
@@ -448,15 +474,11 @@ def _campaign_stacks(monkeypatch, relation, n, seed, params=None):
     [("qubit-mixed-triality", None), ("pct", 1), ("pct", 2), ("qutrit-mixed-triality", None),
      ("qutrit-mixed-triality", 1), ("qutrit-mixed-triality", 2), ("qutrit-mixed-triality", 3)],
 )
-def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, small_chunk, relation, rank):
+def test_mixed_chunks_equal_random_mixed_bit_for_bit(small_chunk, relation, rank):
     dim, n = math.prod(polco.relations._RELATIONS[relation][1]), small_chunk + 5
     params = None if rank is None else {"rank": rank}
-    stacks = _campaign_stacks(monkeypatch, relation, n, 21, params)
-    streams = np.random.SeedSequence(21).spawn(n)
-    expected = np.stack([
-        random_mixed(dim, i % dim + 1 if rank is None else rank, np.random.default_rng(stream))
-        for i, stream in enumerate(streams)
-    ])
+    stacks = _campaign_stacks(relation, n, 21, params)
+    expected = np.stack(list(_two_stream_samples(21, n, dim, True, rank)))
     assert stacks.shape == (n, dim, dim)
     assert stacks.tobytes() == expected.tobytes()
 
@@ -464,51 +486,79 @@ def test_mixed_chunks_equal_random_mixed_bit_for_bit(monkeypatch, small_chunk, r
 @pytest.mark.parametrize(
     "relation", ["qubit-duality", "qutrit-duality", "qubit-triality", "qutrit-triality"]
 )
-def test_pure_chunks_equal_haar_pure_bit_for_bit(monkeypatch, small_chunk, relation):
+def test_pure_chunks_equal_haar_pure_bit_for_bit(small_chunk, relation):
     shape, n = polco.relations._RELATIONS[relation][1], small_chunk + 5
-    stacks = _campaign_stacks(monkeypatch, relation, n, 22)
-    streams = np.random.SeedSequence(22).spawn(n)
-    expected = np.stack([haar_pure(math.prod(shape), np.random.default_rng(s)).amplitudes for s in streams])
+    stacks = _campaign_stacks(relation, n, 22)
+    expected = np.stack([state.amplitudes for state in _two_stream_samples(22, n, math.prod(shape), False)])
     assert stacks.shape == (n, *shape)
     assert stacks.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("relation", ["qutrit-triality", "qutrit-mixed-triality"])
-def test_chunks_of_the_real_size_equal_the_samplers_bit_for_bit(monkeypatch, relation):
+def test_chunks_of_the_real_size_equal_the_samplers_bit_for_bit(relation):
     # the tests above run at SMALL_CHUNK; this one crosses the boundary of the real CHUNK
     _, shape, mixed = polco.relations._RELATIONS[relation]
     dim, n = math.prod(shape), CHUNK + 5
-    rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(23).spawn(n)]
-    if mixed:
-        expected = np.stack([random_mixed(dim, i % dim + 1, rng) for i, rng in enumerate(rngs)])
-    else:
-        expected = np.stack([haar_pure(dim, rng).amplitudes.reshape(shape) for rng in rngs])
-    assert _campaign_stacks(monkeypatch, relation, n, 23).tobytes() == expected.tobytes()
+    samples = _two_stream_samples(23, n, dim, mixed)
+    expected = np.stack([sample if mixed else sample.amplitudes.reshape(shape) for sample in samples])
+    assert _campaign_stacks(relation, n, 23).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("relation", relation_ids())
-def test_campaign_builds_no_seed_sequence_or_generator_per_sample(monkeypatch, small_chunk, relation):
-    # child streams come from (seed, index) alone: one root SeedSequence per
-    # campaign gives the seed's pool, default_rng is never called, and each
-    # child's PCG64 is seeded from its derived words
-    expected = run_campaign(relation, 2 * small_chunk + 5, 2**32 + 9)
-    built = []
+def test_campaign_output_does_not_depend_on_the_chunk_size(relation):
+    n = 2 * SMALL_CHUNK + 5
+    outputs = []
+    for chunk in (1, SMALL_CHUNK, CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polco.states, "CHUNK", chunk)
+            outputs.append((_campaign_stacks(relation, n, 24).tobytes(), run_campaign(relation, n, 24)))
+    assert outputs[0] == outputs[1] == outputs[2]
 
-    class RootOnly(np.random.SeedSequence):
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_a_campaign_is_a_prefix_of_a_longer_one(small_chunk, relation):
+    short = _campaign_stacks(relation, small_chunk + 5, 25)
+    assert _campaign_stacks(relation, 3 * small_chunk, 25)[: small_chunk + 5].tobytes() == short.tobytes()
+
+
+def test_a_campaigns_first_sample_is_pinned():
+    # literals from numpy 2.4.6: a numpy release that changed SeedSequence, PCG64 or
+    # its normal or exponential draws would move every campaign; a rank-2 pct sample
+    # reads both streams
+    sample = _campaign_stacks("pct", 1, 7, {"rank": 2})[0]
+    assert sample.view(np.uint64).ravel().tolist() == [
+        0x3FE7F94B089D7759, 0x3C856A9D95532745, 0x3FD18DE389D06463, 0xBFBD5BDC24138FCF,
+        0x3FD18DE389D06463, 0x3FBD5BDC24138FCD, 0x3FD00D69EEC5114D, 0xBC708270798799BD,
+    ]
+
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_campaign_builds_no_seed_sequence_or_generator_per_sample(small_chunk, relation):
+    # one SeedSequence(seed), one spawn(2) and two generators per campaign, whatever n
+    default_rng = np.random.default_rng
+
+    class Counted(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
-            built.append(args)
+            if "spawn_key" not in kwargs:  # spawn builds its children with one
+                roots.append(args)
             super().__init__(*args, **kwargs)
 
         def spawn(self, n_children):
-            raise AssertionError("campaign spawned SeedSequence children")
+            spawns.append(n_children)
+            return super().spawn(n_children)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("campaign called default_rng")
+    def counted_rng(*args):
+        generators.append(args)
+        return default_rng(*args)
 
-    monkeypatch.setattr(np.random, "default_rng", forbidden)
-    monkeypatch.setattr(np.random, "SeedSequence", RootOnly)
-    assert run_campaign(relation, 2 * small_chunk + 5, 2**32 + 9) == expected
-    assert built == [(2**32 + 9,)]
+    for n in (1, 2 * small_chunk + 5):
+        roots, spawns, generators = [], [], []
+        expected = run_campaign(relation, n, 2**32 + 9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "SeedSequence", Counted)
+            patch.setattr(np.random, "default_rng", counted_rng)
+            assert run_campaign(relation, n, 2**32 + 9) == expected
+        assert (roots, spawns, len(generators)) == ([(2**32 + 9,)], [2], 2)
 
 
 def test_campaign_rejects_an_unnormalized_sample(monkeypatch, small_chunk):
@@ -559,12 +609,7 @@ def test_campaign_equals_a_loop_of_single_checks(relation, seed, n, rank, tol):
     check, dim, split, mixed = SAMPLED[relation]
     rank = 1 + (rank - 1) % dim if mixed and rank else None
     residuals, failures = [], 0
-    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
-        rng = np.random.default_rng(stream)
-        if mixed:
-            sample = random_mixed(dim, index % dim + 1 if rank is None else rank, rng)
-        else:
-            sample = haar_pure(dim, rng, split=split)
+    for sample in _two_stream_samples(seed, n, dim, mixed, rank, split):
         verdict = check(sample, tol=tol)
         residuals.append(verdict.residual)
         failures += not verdict.passed
