@@ -178,10 +178,38 @@ def pure_state_constraints(s: StokesVector) -> PurityResiduals:
     return PurityResiduals(float(norm_residual), float(dijk_residual))
 
 
+@lru_cache(maxsize=1)
+def _d_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero d_ijk as a padded (term, k) table of (d_ijk, i, j).
+
+    Column k lists its (i, j) in lexicographic order, then zero terms up to
+    the longest column; 58 of the 512 d_ijk are nonzero.
+    """
+    d = structure_constants().d
+    columns = [np.argwhere(d[:, :, k]) for k in range(d.shape[-1])]
+    shape = (max(map(len, columns)), len(columns))
+    coeff, i, j = np.zeros(shape), np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    for k, (rows, cols) in enumerate(ij.T for ij in columns):
+        coeff[:len(rows), k], i[:len(rows), k], j[:len(rows), k] = d[rows, cols, k], rows, cols
+    for table in (coeff, i, j):
+        table.flags.writeable = False
+    return coeff, i, j
+
+
 def _purity_residuals(comps: np.ndarray):
-    """(norm, d_ijk) residuals of :func:`pure_state_constraints` over a stack ``(..., 8)``."""
+    """(norm, d_ijk) residuals of :func:`pure_state_constraints` over a stack ``(..., 8)``.
+
+    sum_ij d_ijk S_i S_j runs over the nonzero d_ijk only, adding each k's
+    terms (d_ijk S_i) S_j in (i, j) order, as ``np.einsum`` adds all 64: the
+    sum over the term axis, which is not the innermost, runs in order, and a
+    zero term leaves a finite sum as it is.
+    """
     norm_residual = np.abs(_norm_sq(comps) - 1.0)
-    quadratic = _SQRT3 * np.einsum("ijk,...i,...j->...k", structure_constants().d, comps, comps)
+    coeff, i, j = _d_terms()
+    terms = comps[..., i]
+    terms *= coeff
+    terms *= comps[..., j]
+    quadratic = _SQRT3 * terms.sum(axis=-2)
     return norm_residual, np.abs(quadratic - comps).max(axis=-1)
 
 

@@ -10,14 +10,13 @@ and read both as a :class:`ValidationReport` and by the measure kernel.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, PreconditionError, ValidationError
 from .tolerances import TAU_HERM, TAU_NORM, TAU_PSD
 
 
@@ -100,38 +99,74 @@ class ValidationReport:
         return self.hermitian and self.psd and not self.messages
 
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+
+
 def _density_checks(m: np.ndarray):
     """Per matrix of a ``(..., n, n)`` complex stack: Hermitian defect,
-    least eigenvalue of the Hermitian part H, and trace.
+    least eigenvalue of the Hermitian part H, and trace; or None for a
+    stack that passes the PSD gate.
 
     The one place a density matrix is diagonalized: :func:`validate_density`
     reads one matrix's values as a report, ``measures._as_density`` a
     stack's as a pass or its first failure.  A matrix with non-finite
-    entries is not diagonalized, and all three of its values read NaN; nor
-    is a stack, Hermitian within TAU_HERM with traces above TAU_NORM, whose
-    H + (TAU_PSD / 2) I pass one Cholesky: its least eigenvalues read None.
-    Cholesky is backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10), so that proves lambda_min >= -TAU_PSD / 2 -
-    n (n + 1) u tr H, and ``eigvalsh`` would pass every matrix the gate passes
-    while n (n + 1) u tr H < TAU_PSD / 4, as it is at unit trace.  A single
-    matrix, where one Cholesky costs what ``eigvalsh`` does, is diagonalized.
+    entries is not diagonalized, and all three of its values read NaN.
+
+    The PSD gate spares ``eigvalsh`` on a stack, never on a single matrix,
+    where it would save nothing.  It passes a stack of finite matrices whose
+    M - M^dagger have real and imaginary parts within TAU_HERM / 2 (so
+    defects within TAU_HERM), whose traces exceed TAU_NORM and keep
+    n (n + 1) u tr H < TAU_PSD / 4, and whose H + (TAU_PSD / 2) I all pass
+    the column Cholesky of :func:`_shifted_cholesky_passes`.  Cholesky is
+    backward stable for any order of its inner products (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 10), so a completed
+    factorization proves lambda_min >= -TAU_PSD / 2 - n (n + 1) u tr H,
+    which the trace bound keeps above -TAU_PSD: ``eigvalsh`` would pass every
+    matrix the gate passes.  A stack that fails the gate is checked as if
+    there were none.
     """
     finite = None
     if not np.isfinite(m).all():
         finite = np.isfinite(m).all(axis=(-2, -1))
         m = np.where(finite[..., None, None], m, 0.0)  # eigvalsh cannot take non-finite entries
+    elif m.ndim > 2:
+        n, trace = m.shape[-1], m.diagonal(0, -2, -1).real.sum(axis=-1)
+        if (
+            np.abs((m - m.conj().swapaxes(-1, -2)).view(np.float64)).max() <= TAU_HERM / 2.0
+            and trace.min() > TAU_NORM
+            and n * (n + 1) * _UNIT_ROUNDOFF * trace.max() < TAU_PSD / 4.0
+            and _shifted_cholesky_passes(m)
+        ):
+            return None
     adjoint = m.conj().swapaxes(-1, -2)
     defect = np.abs(m - adjoint).max(axis=(-2, -1))
-    hermitian = (m + adjoint) / 2.0
+    min_eigenvalue = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
     trace = m.diagonal(0, -2, -1).sum(axis=-1)
-    if m.ndim > 2 and finite is None and (defect <= TAU_HERM).all() and (trace.real > TAU_NORM).all():
-        with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky(hermitian + np.eye(m.shape[-1]) * (TAU_PSD / 2.0))
-            return defect, None, trace
-    min_eigenvalue = np.linalg.eigvalsh(hermitian)[..., 0]
     if finite is not None:
         defect, min_eigenvalue, trace = (np.where(finite, x, np.nan) for x in (defect, min_eigenvalue, trace))
     return defect, min_eigenvalue, trace
+
+
+def _shifted_cholesky_passes(m: np.ndarray) -> bool:
+    """Whether H + (TAU_PSD / 2) I, H the Hermitian part of each matrix of a
+    stack ``(..., n, n)``, has a Cholesky factor, as an unblocked column
+    Cholesky over the whole stack finds it: one vectorized step per entry of
+    H's lower triangle, H_ij = (m_ij + conj(m_ji)) / 2 and H_jj = Re m_jj."""
+    n = m.shape[-1]
+    low = {}
+    for j in range(n):
+        pivot = m[..., j, j].real + TAU_PSD / 2.0
+        for k in range(j):
+            pivot = pivot - (low[j, k].real ** 2 + low[j, k].imag ** 2)
+        if not (pivot > 0.0).all():
+            return False
+        root = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            entry = (m[..., i, j] + m[..., j, i].conj()) / 2.0
+            for k in range(j):
+                entry = entry - low[i, k] * low[j, k].conj()
+            low[i, j] = entry / root
+    return True
 
 
 def _density_report(defect, min_eigenvalue, trace, require_unit_trace: bool) -> ValidationReport:
@@ -204,7 +239,7 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, keep: str = "A") -> np.ndar
         return np.einsum("abcb->ac", blocks)
     if keep == "B":
         return np.einsum("abac->bc", blocks)
-    raise ValueError(f'keep must be "A" or "B", got {keep!r}')
+    raise PreconditionError(f'keep must be "A" or "B", got {keep!r}')
 
 
 def _norm_sq(v: np.ndarray) -> np.ndarray:

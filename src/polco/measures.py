@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .basis import _stokes_components
-from .errors import DimensionError, UnsupportedDimension, ValidationError
+from .errors import DimensionError, PreconditionError, UnsupportedDimension, ValidationError
 from .linalg import StateVector, _density_checks, _density_report, _norm_sq, as_complex_matrix, fingerprint
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM, TAU_PSD
 
@@ -41,8 +41,9 @@ def _as_density(m, dims=(2, 3)) -> np.ndarray:
     n = m.shape[-1]
     if dims is not None and n not in dims:
         raise UnsupportedDimension(f"expected dim in {dims}, got {n}")
-    defect, min_eigenvalue, trace = _density_checks(m)
-    if min_eigenvalue is not None:  # None: the Cholesky gate passed every matrix
+    checks = _density_checks(m)
+    if checks is not None:  # None: the PSD gate passed the whole stack
+        defect, min_eigenvalue, trace = checks
         ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace.real > TAU_NORM)
         if np.count_nonzero(ok) < ok.size:
             k = np.unravel_index(np.argmin(ok), ok.shape)
@@ -126,8 +127,15 @@ def _concurrence(table: np.ndarray) -> np.ndarray:
 
 
 def _gram(table: np.ndarray) -> np.ndarray:
-    """G_ij = <row_j|row_i> over a stack of tables: the reduced matrix of their rows."""
-    return (table[..., :, None, :] * table.conj()[..., None, :, :]).sum(axis=-1)
+    """G_ij = <row_j|row_i> over a stack of tables: the reduced matrix of their rows.
+
+    The column terms are added in order, t_0 + t_1 + ...; numpy's ``sum`` over
+    up to three columns rounds the same way."""
+    terms = table[..., :, None, :] * table.conj()[..., None, :, :]
+    gram = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        gram = gram + terms[..., k]
+    return gram
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +202,7 @@ def _reduce(table: np.ndarray, keep: str = "A"):
     ``keep="B"``); the wedge sums are subsystem-symmetric.
     """
     if keep not in ("A", "B"):
-        raise ValueError(f'keep must be "A" or "B", got {keep!r}')
+        raise PreconditionError(f'keep must be "A" or "B", got {keep!r}')
     rows = table if keep == "A" else table.swapaxes(-1, -2)
     rho = _gram(rows)
     if table.shape[-2:] == (2, 2):

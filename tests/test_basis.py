@@ -20,6 +20,8 @@ from polco import (
     stokes_to_json,
     structure_constants,
 )
+from polco.basis import _purity_residuals, _stokes_components
+from polco.states import CHUNK
 
 SQRT3 = np.sqrt(3.0)
 
@@ -285,3 +287,28 @@ def test_constraints_hold_for_haar_pure_qutrits():
 def test_constraints_need_su3():
     with pytest.raises(UnsupportedDimension):
         pure_state_constraints(StokesVector(2, [0, 0, 1]))
+
+
+def _dense_dijk_residual(comps):
+    """The dense reference: all 512 d_ijk through ``np.einsum``."""
+    quadratic = SQRT3 * np.einsum("ijk,...i,...j->...k", structure_constants().d, comps, comps)
+    return np.abs(quadratic - comps).max(axis=-1)
+
+
+@pytest.mark.parametrize("count", [1, 2, CHUNK - 1, CHUNK, CHUNK + 5])
+def test_purity_residuals_equal_the_dense_einsum_bit_for_bit(count):
+    rng = np.random.default_rng(count)
+    z = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+    amps = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    for comps in (_stokes_components(amps[:, :, None] * amps[:, None, :].conj()), rng.standard_normal((count, 8))):
+        dijk, dense_dijk = _purity_residuals(comps)[1], _dense_dijk_residual(comps)
+        assert dijk.shape == (count,) and dijk.tobytes() == dense_dijk.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+def test_purity_residuals_of_single_vectors_equal_the_dense_einsum_bit_for_bit(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 200)
+    for _ in range(200):
+        comps = scale * rng.standard_normal(8)
+        dijk, dense_dijk = _purity_residuals(comps)[1], _dense_dijk_residual(comps)
+        assert np.ndim(dijk) == 0 and dijk.tobytes() == dense_dijk.tobytes()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polco import (
     DimensionError,
+    PreconditionError,
     StateVector,
     ValidationError,
     haar_pure,
@@ -180,6 +181,12 @@ def test_partial_trace_needs_integer_dimensions(dA, dB):
     with pytest.raises(DimensionError, match="integer dA and dB"):
         partial_trace(np.eye(4) / 4, dA, dB)
     assert partial_trace(np.eye(4) / 4, np.int64(2), np.int64(2)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("keep", ["C", "a", None, 0])
+def test_partial_trace_rejects_an_unknown_keep(keep):
+    with pytest.raises(PreconditionError, match='keep must be "A" or "B"'):
+        partial_trace(np.eye(4) / 4, 2, 2, keep)
 
 
 # --- rows of the amplitude table: Gram and wedge route ----------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polco import (
+    TAU_HERM,
     TAU_NORM,
     TAU_PSD,
     DimensionError,
@@ -33,7 +34,10 @@ from polco import (
     tensor,
     validate_density,
 )
-from polco.measures import _as_density, _density_measures
+import polco.linalg
+import polco.measures
+from polco.linalg import _shifted_cholesky_passes
+from polco.measures import _as_density, _density_measures, _gram
 
 FOUR_THIRDS = 4.0 / 3.0
 
@@ -218,6 +222,56 @@ def test_i_concurrence_needs_split():
         i_concurrence_sq(haar_pure(4, 1))
 
 
+@pytest.mark.parametrize("split", [(2, 2), (3, 3), (2, 5), (3, 4)])
+@pytest.mark.parametrize("count", [None, 1, 2, 17, 1024])
+def test_gram_equals_the_broadcast_sum_bit_for_bit(split, count):
+    # in-order column sums equal numpy's reduction over a short last axis
+    # (dB <= 3); from dB = 4 on they are one more rounding of the same sum
+    rng = np.random.default_rng(split[1] * 7 + (count or 0))
+    shape = split if count is None else (count, *split)
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    broadcast_sum = (table[..., :, None, :] * table.conj()[..., None, :, :]).sum(axis=-1)
+    if split[1] <= 3:
+        assert _gram(table).tobytes() == broadcast_sum.tobytes()
+    else:
+        np.testing.assert_allclose(_gram(table), broadcast_sum, rtol=0, atol=1e-14 * np.abs(table).max() ** 2)
+
+
+def _wedge_sum_mismatches():
+    """Gram matrices of tables scaled to traces 0.3 and 7 on which
+    ``measures._wedge_sum`` misses the explicit pair loop 4 sum_{i<j} (G_ii G_jj - |G_ij|^2).
+
+    Off unit trace the wedge route and the purity rewrite 2 (1 - Tr G^2) part, so
+    this guard keeps E^2 on the wedge route.  2 ((tr G)^2 - Tr G^2) is an equivalent
+    mutant that it cannot kill: by the Lagrange identity it is the pair loop."""
+    mismatches = []
+    for split in [(2, 2), (3, 3), (2, 3), (3, 2), (2, 5)]:
+        for k in range(10):
+            amplitudes = haar_pure(split[0] * split[1], 4100 + k, split=split).amplitudes.reshape(split)
+            for trace in (0.3, 7.0):
+                gram = _gram(np.sqrt(trace) * amplitudes)
+                n = split[0]
+                expected = 4.0 * sum(
+                    (gram[i, i] * gram[j, j]).real - abs(gram[i, j]) ** 2 for i in range(n) for j in range(i + 1, n)
+                )
+                got = float(polco.measures._wedge_sum(gram))
+                if not abs(got - expected) <= 1e-12 * trace**2:
+                    mismatches.append((split, k, trace, got, expected))
+    return mismatches
+
+
+def test_the_wedge_sum_is_the_pair_loop_off_unit_trace():
+    assert _wedge_sum_mismatches() == []
+
+
+def test_the_purity_rewrite_of_the_wedge_sum_is_caught(monkeypatch):
+    def purity_rewrite(gram):
+        return 2.0 * (1.0 - np.einsum("...ij,...ji->...", gram, gram).real)
+
+    monkeypatch.setattr(polco.measures, "_wedge_sum", purity_rewrite)
+    assert len(_wedge_sum_mismatches()) == 5 * 10 * 2
+
+
 # --- linear entropy ------------------------------------------------------
 
 def test_linear_entropy_pure_projector():
@@ -354,7 +408,7 @@ def _outcome(stack):
 @pytest.mark.parametrize("scale", [1.0, 1e3])
 def test_the_cholesky_gate_decides_as_eigvalsh(eigvalsh_calls, monkeypatch, n, floor, scale):
     # least eigenvalue floor * TAU_PSD, on both sides of the PSD floor -TAU_PSD and
-    # of the gate's shift TAU_PSD / 2; the reference is the same stack with no gate
+    # of the gate's shift TAU_PSD / 2; the reference is the same stack with the gate off
     rng = np.random.default_rng(n)
     stacks = []
     for _ in range(50):
@@ -366,11 +420,71 @@ def test_the_cholesky_gate_decides_as_eigvalsh(eigvalsh_calls, monkeypatch, n, f
     if scale == 1.0:  # the gate passes a stack exactly when its shift clears the floor
         assert len(eigvalsh_calls) == (0 if floor > -0.5 else len(stacks))
 
-    def failing(a):
-        raise np.linalg.LinAlgError("no gate")
-
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    monkeypatch.setattr(polco.linalg, "_shifted_cholesky_passes", lambda m: False)
+    calls = len(eigvalsh_calls)
     assert [_outcome(stack) for stack in stacks] == gated
+    assert len(eigvalsh_calls) == calls + len(stacks)
+
+
+def _hermitian_near_the_shift(rng, n, count, sign):
+    """Hermitian n x n matrices whose least eigenvalue is -(TAU_PSD / 2)(1 + sign * delta),
+    delta in [0.1 %, 1 %]: the shifted matrix H + (TAU_PSD / 2) I is definite for sign -1
+    and indefinite for sign +1 by far more than a factorization's rounding."""
+    out = []
+    for _ in range(count):
+        delta = float(rng.uniform(1e-3, 1e-2))
+        eigenvalues = np.concatenate([[-TAU_PSD / 2.0 * (1.0 + sign * delta)], rng.uniform(0.1, 1.0, n - 1)])
+        u = haar_unitary(n, rng)
+        h = (u * eigenvalues) @ u.conj().T
+        out.append((h + h.conj().T) / 2.0)
+    return np.stack(out)
+
+
+def _lapack_cholesky_passes(h):
+    try:
+        np.linalg.cholesky(h + np.eye(h.shape[-1]) * (TAU_PSD / 2.0))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_column_cholesky_decides_as_lapack(n):
+    rng = np.random.default_rng(100 + n)
+    definite = _hermitian_near_the_shift(rng, n, 20, -1.0)
+    mixed = np.concatenate([definite[:10], _hermitian_near_the_shift(rng, n, 20, +1.0)])
+    rng.shuffle(mixed)
+    for h in mixed:
+        assert _shifted_cholesky_passes(h[None]) == _lapack_cholesky_passes(h)
+    assert sum(map(_lapack_cholesky_passes, mixed)) == 10
+    assert _shifted_cholesky_passes(definite) and all(map(_lapack_cholesky_passes, definite))
+    assert not _shifted_cholesky_passes(mixed)
+
+
+@pytest.mark.parametrize("part,calls,hermitian", [(0.4, 0, True), (0.6, 1, True), (0.8, 1, False)])
+def test_the_gate_bounds_each_part_of_the_hermitian_defect_by_half_its_tolerance(
+    eigvalsh_calls, part, calls, hermitian
+):
+    # one entry of M - M^dagger is part * (1 + i) TAU_HERM, a defect of sqrt(2) part TAU_HERM
+    stack = np.stack([random_mixed(3, 3, i) for i in range(7)])
+    stack[4, 0, 1] += part * (1 + 1j) * TAU_HERM
+    if hermitian:
+        _as_density(stack)
+    else:
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            _as_density(stack)
+    assert len(eigvalsh_calls) == calls
+
+
+def test_the_gate_takes_no_stack_above_its_trace_bound(eigvalsh_calls):
+    # the gate's proof needs n (n + 1) u tr H < TAU_PSD / 4: tr H < 1.876e4 at n = 3
+    bound = TAU_PSD / (4.0 * 3 * 4 * (np.finfo(float).eps / 2.0))
+    assert 1.87e4 < bound < 1.88e4
+    stack = np.stack([random_mixed(3, 3, i) for i in range(7)])
+    for scale, calls in [(1e3, 0), (1.86e4, 0), (1.89e4, 1), (1e6, 1)]:
+        eigvalsh_calls.clear()
+        np.testing.assert_allclose(_as_density(scale * stack), stack, rtol=0, atol=1e-14)
+        assert len(eigvalsh_calls) == calls, scale
 
 
 @pytest.mark.parametrize("kind", ["good", *sorted(BAD_MATRICES)])

@@ -253,6 +253,14 @@ def test_checks_reject_inputs_outside_their_relation(checker, sample, error):
     assert type(raised.value) is error
 
 
+@pytest.mark.parametrize("dim,checker", [(4, check_qubit_triality_pure), (9, check_qutrit_triality_pure)])
+@pytest.mark.parametrize("subsystem", ["C", "a", None, 0])
+def test_trialities_reject_an_unknown_subsystem(dim, checker, subsystem):
+    side = int(np.sqrt(dim))
+    with pytest.raises(PreconditionError, match='keep must be "A" or "B"'):
+        checker(haar_pure(dim, 0, split=(side, side)), subsystem=subsystem)
+
+
 def test_kappa_gives_the_paper_constants_bit_for_bit():
     assert polco.relations._kappa(2) == 1.0
     assert polco.relations._kappa(3) == 4.0 / 3.0
@@ -356,11 +364,13 @@ def validated(monkeypatch):
 
 @pytest.mark.parametrize("relation", relation_ids())
 def test_each_campaign_sample_is_validated_once(validated, small_chunk, monkeypatch, relation):
-    # and never diagonalized: the Cholesky gate passes every chunk of a valid campaign
+    # and never diagonalized nor factored by LAPACK: the gate's own column Cholesky
+    # passes every chunk of a valid campaign
     def forbidden(*args, **kwargs):
-        raise AssertionError("eigvalsh inside a valid campaign")
+        raise AssertionError("eigvalsh or cholesky inside a valid campaign")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
     run_campaign(relation, small_chunk + 5, seed=17)
     assert sum(validated) == (0 if relation == "stokes-geometry" else small_chunk + 5)
 
