@@ -104,8 +104,8 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 def _density_checks(m: np.ndarray):
     """Per matrix of a ``(..., n, n)`` complex stack: Hermitian defect,
-    least eigenvalue of the Hermitian part H, and trace; or None for a
-    stack that passes the PSD gate.
+    least eigenvalue of the Hermitian part H, and trace; or, for a stack
+    that passes the PSD gate, the real diagonal sums the gate bounded.
 
     The one place a density matrix is diagonalized: :func:`validate_density`
     reads one matrix's values as a report, ``measures._as_density`` a
@@ -137,7 +137,7 @@ def _density_checks(m: np.ndarray):
             and n * (n + 1) * _UNIT_ROUNDOFF * trace.max() < TAU_PSD / 4.0
             and _shifted_cholesky_passes(m)
         ):
-            return None
+            return trace
     adjoint = m.conj().swapaxes(-1, -2)
     defect = np.abs(m - adjoint).max(axis=(-2, -1))
     min_eigenvalue = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]

@@ -42,7 +42,7 @@ def _as_density(m, dims=(2, 3)) -> np.ndarray:
     if dims is not None and n not in dims:
         raise UnsupportedDimension(f"expected dim in {dims}, got {n}")
     checks = _density_checks(m)
-    if checks is not None:  # None: the PSD gate passed the whole stack
+    if isinstance(checks, tuple):  # the PSD gate did not pass the whole stack
         defect, min_eigenvalue, trace = checks
         ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace.real > TAU_NORM)
         if np.count_nonzero(ok) < ok.size:
@@ -51,9 +51,9 @@ def _as_density(m, dims=(2, 3)) -> np.ndarray:
             if not (report.hermitian and report.psd):
                 raise ValidationError("; ".join(report.messages))
             raise ValidationError(f"trace {report.trace!r} is not positive")
-    # the divisor is the real diagonal's sum, not trace.real: the two round
-    # differently for n >= 4, and normalized values keep their bits across versions
-    scale = m.diagonal(0, -2, -1).real.sum(axis=-1)
+    # the divisor is the real diagonal's sum, as a passing gate hands it back, not trace.real:
+    # the two round differently for n >= 4, and normalized values keep their bits across versions
+    scale = m.diagonal(0, -2, -1).real.sum(axis=-1) if isinstance(checks, tuple) else checks
     off = np.abs(scale - 1.0) > TAU_NORM
     if np.count_nonzero(off):
         m = m / np.where(off, scale, 1.0)[..., None, None]

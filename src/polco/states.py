@@ -7,8 +7,8 @@ build.  A campaign draws from two streams, the children of
 normals and one for a mixed sample's Dirichlet exponentials, so sample
 *i* is what the samplers build from the *i*-th draws of each.  A chunk
 of samples is one draw per stream and is then built once: one complex
-build, one Haar norm or one QR and one projector sum per rank, with the
-samplers' one-sample bits.
+build, and one Haar norm or, per rank, one Gram-Schmidt of the frame
+columns it reads and one projector sum, with the samplers' one-sample bits.
 """
 
 from __future__ import annotations
@@ -148,13 +148,24 @@ def _simplex(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
-def _unitaries(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a (..., n, n) Ginibre stack: QR, column k of Q times the
-    unit phase of r_kk (Mezzadri, Notices AMS 54, 592 (2007)).  Each matrix
-    is factored on its own, so a stack keeps every matrix's one-matrix bits."""
-    q, r = np.linalg.qr(z)
-    diag = r.diagonal(0, -2, -1)
-    return q * (diag / np.abs(diag))[..., None, :]
+def _unitaries(z: np.ndarray, width: int | None = None) -> np.ndarray:
+    """The first ``width`` (default all) columns of Haar unitaries from a (..., n, n) Ginibre stack
+    by classical Gram-Schmidt run twice (CGS2): column k less its projections on columns < k,
+    twice, over its in-order norm.  That is QR with a positive real R diagonal, Mezzadri's Q
+    (Notices AMS 54, 592 (2007)); CGS2 keeps orthogonality at O(u) (Giraud, Langou & Rozloznik,
+    Numer. Math. 101, 87 (2005)).  No column's bits depend on the stack size or the width."""
+    n = z.shape[-1]
+    q = np.empty((*z.shape[:-1], n if width is None else width), dtype=np.complex128)
+    for k in range(q.shape[-1]):
+        v = z[..., k : k + 1]
+        if k:
+            basis = q[..., :k]
+            adj = basis.conj().swapaxes(-1, -2)
+            v = v - basis @ (adj @ v)
+            v = v - basis @ (adj @ v)
+        square = np.square(v.real) + np.square(v.imag)
+        q[..., k : k + 1] = v / np.sqrt(sum(square[..., i, :] for i in range(n)))[..., None, :]
+    return q
 
 
 def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -165,13 +176,12 @@ def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _mixed_stack(z: np.ndarray, e: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The density matrix ``random_mixed`` builds from each Ginibre ``z[i]`` and the
-    exponentials ``e[i, :ranks[i]]``, bit for bit: one QR and, per rank, one simplex
-    and one projector sum."""
-    u = _unitaries(z)
-    out = np.empty_like(u)
-    for rank in range(1, u.shape[-1] + 1):  # not np.unique, whose first call imports numpy.ma
+    exponentials ``e[i, :ranks[i]]``, bit for bit: per rank, the ``rank`` frame columns
+    that the projector sum reads, one simplex and one projector sum."""
+    out = np.empty_like(z)
+    for rank in range(1, z.shape[-1] + 1):  # not np.unique, whose first call imports numpy.ma
         group = np.flatnonzero(ranks == rank)
-        out[group] = _mixed_from(u[group], _simplex(e[group, :rank]))
+        out[group] = _mixed_from(_unitaries(z[group], rank), _simplex(e[group, :rank]))
     return out
 
 
@@ -182,7 +192,7 @@ def haar_pure(dim: int, seed, split: tuple[int, int] | None = None) -> StateVect
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary: phase-fixed QR of a Ginibre sample."""
+    """Haar-distributed unitary: Gram-Schmidt (CGS2) of a Ginibre sample's columns."""
     _require_dim("haar_unitary", dim, 1)
     return _unitaries(_complex_gaussians(_rng_from(seed), (dim, dim)))
 
@@ -201,4 +211,4 @@ def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.n
     rng = _rng_from(seed)
     z = _complex_gaussians(rng, (dim, dim))  # then the exponentials dirichlet would draw
     e = np.ones(rank) if equal_weights else rng.standard_exponential(rank)
-    return _mixed_from(_unitaries(z), _simplex(e))
+    return _mixed_from(_unitaries(z, rank), _simplex(e))

@@ -424,8 +424,8 @@ def test_campaign_evaluates_whole_chunks(validated, small_chunk, monkeypatch, re
 
 @pytest.mark.parametrize("relation", relation_ids())
 def test_campaign_samples_whole_chunks(monkeypatch, small_chunk, relation):
-    # one stacked QR per chunk, and no sampler, complex build, Haar norm or
-    # StateVector per sample: the streams only draw
+    # no LAPACK QR (the frames are stacked Gram-Schmidt), and no sampler, complex
+    # build, Haar norm or StateVector per sample: the streams only draw
     def forbidden(*args, **kwargs):
         raise AssertionError("per-sample sampler inside a campaign")
 
@@ -444,8 +444,7 @@ def test_campaign_samples_whole_chunks(monkeypatch, small_chunk, relation):
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     run_campaign(relation, 2 * small_chunk + 5, seed=3)
-    *_, mixed = polco.relations._RELATIONS[relation]
-    assert len(qr_calls) == (3 if mixed else 0)
+    assert qr_calls == []
 
 
 def _campaign_stacks(relation, n, seed, params=None):
@@ -537,9 +536,56 @@ def test_a_campaigns_first_sample_is_pinned():
     # reads both streams
     sample = _campaign_stacks("pct", 1, 7, {"rank": 2})[0]
     assert sample.view(np.uint64).ravel().tolist() == [
-        0x3FE7F94B089D7759, 0x3C856A9D95532745, 0x3FD18DE389D06463, 0xBFBD5BDC24138FCF,
-        0x3FD18DE389D06463, 0x3FBD5BDC24138FCD, 0x3FD00D69EEC5114D, 0xBC708270798799BD,
+        0x3FE7F94B089D7759, 0x3C856B78C223BE57, 0x3FD18DE389D06464, 0xBFBD5BDC24138FCC,
+        0x3FD18DE389D06463, 0x3FBD5BDC24138FCD, 0x3FD00D69EEC5114E, 0x3C5A9005664881B0,
     ]
+
+
+MIXED_RELATIONS = ("pct", "qubit-mixed-triality", "qutrit-mixed-triality")
+
+
+def _law_deviations(relation, n=20_000, seed=5, delta=1e-9):
+    """(|sample mean - closed form|, Hoeffding bound at confidence 1 - delta) for each
+    clause of a mixed campaign's law: sum_i |u_ik|^4 = 2/(dim+1) for each frame column
+    k < rank (a uniform unit vector of C^dim), and Tr rho^2 = 2/(r+1) at rank r (Dirichlet
+    weights).  A clause spans [1/dim, 1] or [1/r, 1]; 1e-12 covers rank 1's rounding."""
+    dim = math.prod(polco.relations._RELATIONS[relation][1])
+    frames, unitaries = [], polco.states._unitaries
+
+    def recorded(z, width=None):
+        frames.append(unitaries(z, width))
+        return frames[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polco.states, "_unitaries", recorded)
+        rho = _campaign_stacks(relation, n, seed)
+    fourth = {}
+    for u in frames:
+        for k in range(u.shape[-1]):
+            fourth.setdefault(k, []).append((np.abs(u[..., k]) ** 4).sum(axis=-1))
+    clauses = [(np.concatenate(x), 2 / (dim + 1), 1 - 1 / dim) for x in fourth.values()]
+    ranks, purity = np.arange(n) % dim + 1, (np.abs(rho) ** 2).sum(axis=(-2, -1))
+    clauses += [(purity[ranks == r], 2 / (r + 1), 1 - 1 / r) for r in range(1, dim + 1)]
+    assert len(clauses) == 2 * dim
+    return [(abs(x.mean() - mean), spread * math.sqrt(math.log(2 / delta) / (2 * x.size)) + 1e-12)
+            for x, mean, spread in clauses]
+
+
+@pytest.mark.parametrize("relation", MIXED_RELATIONS)
+def test_mixed_campaigns_draw_haar_frames_and_dirichlet_weights(relation):
+    for deviation, bound in _law_deviations(relation):
+        assert deviation <= bound
+
+
+@pytest.mark.parametrize("relation", MIXED_RELATIONS)
+def test_the_law_catches_real_frames_and_equal_weights(monkeypatch, relation):
+    # real Haar columns give E sum_i u_ik^4 = 3/(dim+2); equal weights give Tr rho^2 = 1/r
+    unitaries = polco.states._unitaries
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polco.states, "_unitaries", lambda z, width=None: unitaries(z.real * np.sqrt(2.0) + 0j, width))
+        assert any(deviation > bound for deviation, bound in _law_deviations(relation))
+    monkeypatch.setattr(polco.states, "_simplex", lambda e: np.full_like(e, 1.0 / e.shape[-1]))
+    assert any(deviation > bound for deviation, bound in _law_deviations(relation))
 
 
 @pytest.mark.parametrize("relation", relation_ids())

@@ -189,6 +189,40 @@ def test_haar_unitary_rejects_bad_dim(dim):
         haar_unitary(dim, 0)
 
 
+def _ginibre(n, count, seed):
+    g = np.random.default_rng(seed).standard_normal((2, count, n, n))
+    return (g[0] + 1j * g[1]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_a_frame_has_the_same_bits_in_any_stack_and_at_any_width(n):
+    # random_mixed builds one matrix's first `rank` columns, a campaign a stack's
+    z = _ginibre(n, 300, n)
+    for width in range(1, n + 1):
+        stack = _unitaries(z, width)
+        assert stack.shape == (300, n, width)
+        assert stack.tobytes() == _unitaries(z)[..., :width].copy().tobytes()
+        for i in range(300):
+            assert _unitaries(z[i], width).tobytes() == stack[i].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_frames_are_orthonormal_to_working_precision(n):
+    u = _unitaries(_ginibre(n, 1000, 100 + n))
+    defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(n), ord=2, axis=(-2, -1))
+    assert defect.max() <= 4e-15
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_frames_are_the_phase_fixed_q_of_qr(n):
+    # Gram-Schmidt is QR with a positive real R diagonal: Q times the unit phase of
+    # each r_kk (Mezzadri, Notices AMS 54, 592 (2007)), so the law is Haar
+    z = _ginibre(n, 1000, 200 + n)
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal(0, -2, -1)
+    np.testing.assert_allclose(_unitaries(z), q * (diag / np.abs(diag))[..., None, :], rtol=0, atol=1e-13)
+
+
 # --- random mixed states ----------------------------------------------------
 
 def test_random_mixed_rank_one_is_pure():
