@@ -7,20 +7,24 @@ build.  A campaign draws from two streams, the children of
 normals and one for a mixed sample's Dirichlet exponentials, so sample
 *i* is what the samplers build from the *i*-th draws of each.  A chunk
 of samples is one draw per stream and is then built once: one complex
-build, and one Haar norm or, per rank, one Gram-Schmidt of the frame
-columns it reads and one projector sum, with the samplers' one-sample bits.
+build, and one Haar norm or, per rank group (a strided view of the
+chunk), one Gram-Schmidt of the frame columns it reads and one projector
+sum.  Frames and projector sums are in-order elementwise arithmetic over
+the stack, with no BLAS call per sample, so every sample has the
+samplers' one-sample bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import DegenerateInput, DimensionError, PreconditionError, UnknownState
 from .linalg import StateVector, _is_int, _require_unit_norm
 
-_SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 CHUNK = 1024  # campaign samples drawn and built together: the CLI's default 1000 in one
 
 
@@ -105,10 +109,9 @@ def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
     for start in range(0, n, CHUNK):
         count = min(CHUNK, n - start)
         g = normals.standard_normal((count, 2, *((dim, dim) if mixed else (dim,))))
-        z = (g[:, 0] + 1j * g[:, 1]) / _SQRT2
+        z = _complex_from(g[:, 0], g[:, 1])
         if mixed:
-            ranks = np.arange(start, start + count) % dim + 1 if rank is None else np.full(count, rank)
-            yield _mixed_stack(z, exponentials.standard_exponential((count, dim)), ranks)
+            yield _mixed_stack(z, exponentials.standard_exponential((count, dim)), start, rank)
         else:
             samples = _haar_rows(z)
             _require_unit_norm(samples)
@@ -125,7 +128,16 @@ def _require_dim(caller: str, dim, least: int) -> None:
 def _complex_gaussians(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Standard complex normals: (g1 + i g2) / sqrt(2), g1, g2 ~ N(0, 1), g1 drawn first."""
     g = rng.standard_normal((2, *shape))
-    return (g[0] + 1j * g[1]) / _SQRT2
+    return _complex_from(g[0], g[1])
+
+
+def _complex_from(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """(g0 + i g1) / sqrt(2) written into one buffer, with that formula's bits: each part
+    is its normal times fl(1/sqrt(2)), which is how numpy divides a complex by a real."""
+    z = np.empty(g0.shape, dtype=np.complex128)
+    np.multiply(g0, _INV_SQRT2, out=z.real)
+    np.multiply(g1, _INV_SQRT2, out=z.imag)
+    return z
 
 
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -145,7 +157,7 @@ def _simplex(e: np.ndarray) -> np.ndarray:
     """Dirichlet(1, ..., 1) weights from a (..., rank) stack of exponentials, with
     ``Generator.dirichlet``'s bits: each times 1 / its in-order sum (not
     ``np.sum``, whose pairwise order rounds differently from rank 8 on)."""
-    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
+    return e * (1.0 / reduce(np.add, e.T).T)[..., None]
 
 
 def _unitaries(z: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -153,35 +165,42 @@ def _unitaries(z: np.ndarray, width: int | None = None) -> np.ndarray:
     by classical Gram-Schmidt run twice (CGS2): column k less its projections on columns < k,
     twice, over its in-order norm.  That is QR with a positive real R diagonal, Mezzadri's Q
     (Notices AMS 54, 592 (2007)); CGS2 keeps orthogonality at O(u) (Giraud, Langou & Rozloznik,
-    Numer. Math. 101, 87 (2005)).  No column's bits depend on the stack size or the width."""
-    n = z.shape[-1]
-    q = np.empty((*z.shape[:-1], n if width is None else width), dtype=np.complex128)
-    for k in range(q.shape[-1]):
-        v = z[..., k : k + 1]
-        if k:
-            basis = q[..., :k]
-            adj = basis.conj().swapaxes(-1, -2)
-            v = v - basis @ (adj @ v)
-            v = v - basis @ (adj @ v)
-        square = np.square(v.real) + np.square(v.imag)
-        q[..., k : k + 1] = v / np.sqrt(sum(square[..., i, :] for i in range(n)))[..., None, :]
-    return q
+    Numer. Math. 101, 87 (2005)).  Every product is elementwise over the stack and every sum
+    in order, with no per-sample BLAS call, so no column's bits depend on the stack size or
+    the width.  The result is a transposed view of a column-major stack."""
+    zt = z.T  # zt[k, i]: row i of column k, over the stack
+    n = len(zt)
+    qt = np.empty((n if width is None else width, *zt.shape[1:]), dtype=np.complex128)
+    for k in range(len(qt)):
+        v = zt[k]
+        for _ in range(2 if k else 0):
+            terms = qt[:k].conj() * v
+            coeffs = reduce(np.add, (terms[:, i] for i in range(n)))  # sum_i conj(q_ij) v_i, in order
+            v = reduce(np.subtract, qt[:k] * coeffs[:, None], v)  # less each q_j c_j, j < k in order
+        qt[k] = v / np.sqrt(reduce(np.add, np.square(v.real) + np.square(v.imag)))
+    return qt.T
 
 
 def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k |u_k><u_k| over columns k < rank of (..., n, n) u and (..., rank) w."""
-    vecs = u[..., : weights.shape[-1]]
-    return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    """sum_c (w_c u_c) (x) conj(u_c) over the columns c < rank of (..., n, >= rank) u and
+    (..., rank) w, added in order; a transposed view, like ``_unitaries``' result."""
+    ut, wt = u.T, weights.T  # ut[c, i]: row i of column c, over the stack
+    terms = ((ut[c] * wt[c])[None] * ut[c, :, None].conj() for c in range(len(wt)))  # [j, i]
+    return reduce(np.add, terms).T
 
 
-def _mixed_stack(z: np.ndarray, e: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _mixed_stack(z: np.ndarray, e: np.ndarray, start: int, rank: int | None) -> np.ndarray:
     """The density matrix ``random_mixed`` builds from each Ginibre ``z[i]`` and the
-    exponentials ``e[i, :ranks[i]]``, bit for bit: per rank, the ``rank`` frame columns
-    that the projector sum reads, one simplex and one projector sum."""
-    out = np.empty_like(z)
-    for rank in range(1, z.shape[-1] + 1):  # not np.unique, whose first call imports numpy.ma
-        group = np.flatnonzero(ranks == rank)
-        out[group] = _mixed_from(_unitaries(z[group], rank), _simplex(e[group, :rank]))
+    exponentials ``e[i, :rank]``, bit for bit, where chunk sample ``i`` is the campaign's
+    ``start + i``-th and has rank ``rank`` or, if None, ``(start + i) % dim + 1``.  Each rank
+    group is one strided view of the chunk, with one frame of ``rank`` columns, one simplex
+    and one projector sum."""
+    dim, out = z.shape[-1], np.empty_like(z)
+    for r in range(1, dim + 1) if rank is None else (rank,):
+        # cycling ranks: sample start + i has rank (start + i) % dim + 1, so every dim-th sample
+        group = slice((r - 1 - start) % dim, None, dim) if rank is None else slice(None)
+        if len(z[group]):  # a chunk shorter than dim leaves some ranks out
+            out[group] = _mixed_from(_unitaries(z[group], r), _simplex(e[group, :r]))
     return out
 
 
@@ -192,9 +211,10 @@ def haar_pure(dim: int, seed, split: tuple[int, int] | None = None) -> StateVect
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary: Gram-Schmidt (CGS2) of a Ginibre sample's columns."""
+    """Haar-distributed unitary: Gram-Schmidt (CGS2) of a Ginibre sample's columns, in the
+    in-order elementwise arithmetic that builds a campaign's stacked frames, with no BLAS call."""
     _require_dim("haar_unitary", dim, 1)
-    return _unitaries(_complex_gaussians(_rng_from(seed), (dim, dim)))
+    return np.ascontiguousarray(_unitaries(_complex_gaussians(_rng_from(seed), (dim, dim))))
 
 
 def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.ndarray:
@@ -211,4 +231,4 @@ def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.n
     rng = _rng_from(seed)
     z = _complex_gaussians(rng, (dim, dim))  # then the exponentials dirichlet would draw
     e = np.ones(rank) if equal_weights else rng.standard_exponential(rank)
-    return _mixed_from(_unitaries(z, rank), _simplex(e))
+    return np.ascontiguousarray(_mixed_from(_unitaries(z, rank), _simplex(e)))

@@ -175,6 +175,44 @@ def test_mixed_triality_campaigns(relation):
     assert summary.max_residual < 1e-9
 
 
+def _off_cone(spectra, seed):
+    """Unit-trace Hermitian matrices U diag(lam) U^dagger, one per row of ``spectra`` (each
+    summing to 1, with a negative entry), U the Q of a complex Ginibre matrix's QR."""
+    count, n = spectra.shape
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    m = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    m = (m + m.conj().swapaxes(-1, -2)) / 2  # Hermitian to the bit, with a real diagonal
+    assert (np.linalg.eigvalsh(m)[:, 0] < -0.01).all()
+    return m
+
+
+def test_pct_and_the_mixed_triality_hold_off_the_psd_cone(monkeypatch):
+    # with Tr rho = 1, |S|^2 = P^2 + C^2 and kappa M^2 + P^2 + C^2 = kappa are polynomial
+    # identities in rho's entries, so validation is the only PSD guard: past it a non-PSD
+    # matrix passes, unless a raw measure is negative and the clamp at 0 breaks the sum,
+    # as M^2 is on every non-PSD qubit matrix (one eigenvalue above 1, Tr rho^2 > 1)
+    rng = np.random.default_rng(31)
+    t = rng.uniform(0.02, 1.0, 2000)
+    qubits = _off_cone(np.stack([1 + t, -t], axis=1), 32)
+    t, s = rng.uniform(0.02, 0.15, 2000), rng.uniform(0.0, 0.25, 2000)
+    inside = _off_cone(np.stack([(1 + t) / 2 + s, (1 + t) / 2 - s, -t], axis=1), 33)  # Tr rho^2 <= 1
+    t = rng.uniform(0.5, 1.0, 2000)
+    outside = _off_cone(np.stack([1.2 + t / 2, -0.2 + t / 2, -t], axis=1), 34)  # Tr rho^2 > 1
+    for m in (qubits[:50], inside[:50], outside[:50]):
+        for rho in m:
+            with pytest.raises(ValidationError):
+                check_mixed_triality(rho)
+            if len(rho) == 2:
+                with pytest.raises(ValidationError):
+                    check_pct(rho)
+    monkeypatch.setattr(polco.measures, "_as_density", lambda m, dims=None: m)
+    assert polco.relations._pct(qubits)[2].max() <= 1e-13
+    assert polco.relations._mixed_triality(inside)[2].max() <= 1e-13
+    for m in (qubits, outside):
+        assert polco.relations._mixed_triality(m)[2].min() > 1e-9
+
+
 # --- Stokes geometry --------------------------------------------------------------
 
 def test_stokes_geometry_basis_state():
@@ -447,6 +485,27 @@ def test_campaign_samples_whole_chunks(monkeypatch, small_chunk, relation):
     assert qr_calls == []
 
 
+@pytest.mark.parametrize(
+    "dim,start,count,rank,calls",
+    [(3, 0, 16, None, [(6, 1), (5, 2), (5, 3)]), (3, 4, 2, None, [(1, 2), (1, 3)]),
+     (2, 7, 1, None, [(1, 2)]), (3, 0, 16, 2, [(16, 2)]), (2, 5, 3, 1, [(3, 1)])],
+)
+def test_a_chunk_builds_one_frame_per_nonempty_rank_group(monkeypatch, dim, start, count, rank, calls):
+    # cycling ranks: sample start + i has rank (start + i) % dim + 1, so each rank's group is
+    # one strided view of the chunk and a short chunk skips the empty ones; a pinned rank is one group
+    seen, unitaries = [], polco.states._unitaries
+
+    def recorded(z, width=None):
+        seen.append((len(z), width))
+        return unitaries(z, width)
+
+    monkeypatch.setattr(polco.states, "_unitaries", recorded)
+    g = np.random.default_rng(dim + start).standard_normal((count, 2, dim, dim))
+    z, e = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0), np.ones((count, dim))
+    polco.states._mixed_stack(z, e, start, rank)
+    assert seen == calls
+
+
 def _campaign_stacks(relation, n, seed, params=None):
     """The sample stacks a campaign evaluates, concatenated."""
     evaluate, *entry = polco.relations._RELATIONS[relation]
@@ -467,7 +526,9 @@ def _two_stream_samples(seed, n, dim, mixed, rank=None, split=None):
     i-th ``haar_pure(dim, normals)``, or the i-th ``haar_unitary(dim, normals)`` with
     Dirichlet weights from the i-th row of dim exponentials, of rank ``i % dim + 1``
     unless ``rank`` pins one.  ``random_mixed`` draws both kinds of number from one
-    stream, so mixed samples are built inline, weights normalized by their in-order sum."""
+    stream, so mixed samples are built inline, weights normalized by their in-order sum,
+    projectors outer products of numpy vectors added column by column (numpy's complex
+    product, not CPython's, which rounds differently)."""
     normals, exponentials = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     for i in range(n):
         if not mixed:
@@ -475,7 +536,11 @@ def _two_stream_samples(seed, n, dim, mixed, rank=None, split=None):
             continue
         vecs = haar_unitary(dim, normals)[:, : i % dim + 1 if rank is None else rank]
         e = exponentials.standard_exponential(dim)[: vecs.shape[1]]
-        yield (vecs * (e * (1.0 / sum(e)))) @ vecs.conj().T
+        w = e * (1.0 / sum(e))
+        rho = np.multiply.outer(w[0] * vecs[:, 0], vecs[:, 0].conj())
+        for c in range(1, len(w)):
+            rho = rho + np.multiply.outer(w[c] * vecs[:, c], vecs[:, c].conj())
+        yield rho
 
 
 @pytest.mark.parametrize(
@@ -531,13 +596,13 @@ def test_a_campaign_is_a_prefix_of_a_longer_one(small_chunk, relation):
 
 
 def test_a_campaigns_first_sample_is_pinned():
-    # literals from numpy 2.4.6: a numpy release that changed SeedSequence, PCG64 or
-    # its normal or exponential draws would move every campaign; a rank-2 pct sample
-    # reads both streams
+    # literals from numpy 2.4.6 on x86 with AVX2/FMA, where numpy's complex products fuse
+    # a multiply-add: a numpy release that changed SeedSequence, PCG64 or its normal or
+    # exponential draws would move every campaign; a rank-2 pct sample reads both streams
     sample = _campaign_stacks("pct", 1, 7, {"rank": 2})[0]
     assert sample.view(np.uint64).ravel().tolist() == [
-        0x3FE7F94B089D7759, 0x3C856B78C223BE57, 0x3FD18DE389D06464, 0xBFBD5BDC24138FCC,
-        0x3FD18DE389D06463, 0x3FBD5BDC24138FCD, 0x3FD00D69EEC5114E, 0x3C5A9005664881B0,
+        0x3FE7F94B089D7759, 0x3C8580B0FDD3ABFE, 0x3FD18DE389D06464, 0xBFBD5BDC24138FCE,
+        0x3FD18DE389D06463, 0x3FBD5BDC24138FCD, 0x3FD00D69EEC5114E, 0x3C58FEB3FFD8E3BA,
     ]
 
 

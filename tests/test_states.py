@@ -22,7 +22,7 @@ from polco import (
     random_mixed,
     state_to_json,
 )
-from polco.states import _haar_rows, _mixed_from, _unitaries
+from polco.states import _complex_from, _complex_gaussians, _haar_rows, _mixed_from, _unitaries
 
 
 # --- beam mapping --------------------------------------------------------
@@ -183,6 +183,11 @@ def test_haar_unitary_is_unitary():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
 
 
+def test_samplers_return_row_major_arrays():
+    # the stacked builds work on transposed views; the public samplers hand out C order
+    assert haar_unitary(3, 1).flags.c_contiguous and random_mixed(3, 2, 1).flags.c_contiguous
+
+
 @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True, None])
 def test_haar_unitary_rejects_bad_dim(dim):
     with pytest.raises(DimensionError):
@@ -302,6 +307,19 @@ def test_stacked_haar_norm_equals_np_linalg_norm_bit_for_bit(dim):
     z *= np.repeat([1.0, 1e3, 1e-3, 1e150, 1e-150], 48)[:, None]
     expected = np.stack([row / np.linalg.norm(row) for row in z])
     assert _haar_rows(z).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (9,), (2, 2), (3, 3)])
+def test_the_complex_build_has_the_bits_of_dividing_by_sqrt2(shape):
+    # each part is written as its normal times fl(1/sqrt 2), which is how numpy divides a
+    # complex by a real; campaigns draw (count, 2, *shape), the samplers (2, *shape)
+    g = np.random.default_rng(len(shape)).standard_normal((1000, 2, *shape))
+    g *= np.logspace(-150, 150, 1000).reshape(-1, *[1] * (len(shape) + 1))
+    assert _complex_from(g[:, 0], g[:, 1]).tobytes() == ((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)).tobytes()
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20):
+        expected = theirs.standard_normal((2, *shape))
+        assert _complex_gaussians(ours, shape).tobytes() == ((expected[0] + 1j * expected[1]) / np.sqrt(2.0)).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (2, 9), (2, 3, 3)])
