@@ -4,10 +4,9 @@ Both supported bases are normalized to Tr(g_i g_j) = 2 delta_ij.  A
 unit-trace n x n matrix has S_i = Tr(g_i Phi)/sqrt(kappa(n)), kappa(n) =
 2(n - 1)/n (S_i = Tr(Phi sigma_i) for n = 2, sqrt(3) Tr(g_i Phi)/2 for
 n = 3), and expands as Phi = (I + sqrt(n(n - 1)/2) sum_i S_i g_i)/n.
-The two imaginary off-diagonal SU(3) generators carry -i above the
-diagonal and +i below, keeping every generator Hermitian.
-``generators(n)`` returns the basis as one read-only (n^2 - 1, n, n)
-array.
+Both are built from matrix units; the imaginary off-diagonal generators
+carry -i above the diagonal and +i below, keeping each one Hermitian.
+``generators(n)`` returns the basis as one read-only (n^2 - 1, n, n) array.
 """
 
 from __future__ import annotations
@@ -26,29 +25,24 @@ from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM
 _SQRT3 = np.sqrt(3.0)
 
 
-def _frozen(rows) -> np.ndarray:
-    m = np.array(rows, dtype=np.complex128)
-    m.flags.writeable = False
-    return m
-
-
-_GENERATORS = {
-    2: _frozen([
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ]),
-    3: _frozen([
-        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
-        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
-        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
-        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
-        np.diag([1, 1, -2]) / _SQRT3,
-    ]),
-}
+@lru_cache(maxsize=None)
+def _matrix_unit_basis(n: int) -> np.ndarray:
+    """The generalized Gell-Mann matrices of n x n from the matrix units E_jk
+    (Bertlmann & Krammer, J. Phys. A 41, 235303 (2008)), frozen: for each
+    k = 1..n-1, the pairs E_jk + E_kj and -i (E_jk - E_kj) for j < k, then
+    (sum_{j<k} E_jj - k E_kk) / sqrt(k (k + 1) / 2).  For n = 2 that is the
+    Pauli set, for n = 3 the Gell-Mann set, each in its standard order."""
+    g = np.zeros((n * n - 1, n, n), dtype=np.complex128)
+    index = 0
+    for k in range(1, n):
+        for j in range(k):
+            g[index, j, k] = g[index, k, j] = 1
+            g[index + 1, j, k], g[index + 1, k, j] = -1j, 1j
+            index += 2
+        g[index, range(k + 1), range(k + 1)] = np.append(np.ones(k), -k) / math.sqrt(k * (k + 1) / 2)
+        index += 1
+    g.flags.writeable = False
+    return g
 
 
 def generators(n: int) -> np.ndarray:
@@ -56,9 +50,9 @@ def generators(n: int) -> np.ndarray:
 
     Returns one shared read-only (n^2 - 1, n, n) array.
     """
-    if not _is_int(n) or n not in _GENERATORS:
+    if not _is_int(n) or n not in (2, 3):
         raise UnsupportedDimension(f"generator sets exist for n in {{2, 3}}, got {n}")
-    return _GENERATORS[n]
+    return _matrix_unit_basis(n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,8 @@ Square complex ``numpy`` arrays are the carriers for coherence/density
 matrices and Hermitian generators; pure states travel as
 :class:`StateVector`.  Bipartite indices are always flattened row-major
 with subsystem A major: ``(i_A, i_B) -> i_A * dB + i_B``.  Density
-checks (Hermitian defect, PSD, trace) are written once, over stacks,
-and read both as a :class:`ValidationReport` and by the measure kernel.
+checks (Hermitian defect, PSD, trace) are written once, over stacks;
+``_require_density`` alone accepts a stack as density matrices or raises.
 """
 
 from __future__ import annotations
@@ -103,33 +103,47 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 def _density_checks(m: np.ndarray):
-    """Per matrix of a ``(..., n, n)`` complex stack: Hermitian defect,
-    least eigenvalue of the Hermitian part H, and trace; or, for a stack
-    that passes the PSD gate, the real diagonal sums the gate bounded.
+    """Per matrix of a ``(..., n, n)`` complex stack: Hermitian defect, least
+    eigenvalue of the Hermitian part H, and trace.
 
     The one place a density matrix is diagonalized: :func:`validate_density`
-    reads one matrix's values as a report, ``measures._as_density`` a
+    reads one matrix's values as a report, :func:`_require_density` a
     stack's as a pass or its first failure.  A matrix with non-finite
     entries is not diagonalized, and all three of its values read NaN.
-
-    The PSD gate spares ``eigvalsh`` on a stack, never on a single matrix,
-    where it would save nothing.  It passes a stack of finite matrices whose
-    M - M^dagger have real and imaginary parts within TAU_HERM / 2 (so
-    defects within TAU_HERM), whose traces exceed TAU_NORM and keep
-    n (n + 1) u tr H < TAU_PSD / 4, and whose H + (TAU_PSD / 2) I all pass
-    the column Cholesky of :func:`_shifted_cholesky_passes`.  Cholesky is
-    backward stable for any order of its inner products (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., ch. 10), so a completed
-    factorization proves lambda_min >= -TAU_PSD / 2 - n (n + 1) u tr H,
-    which the trace bound keeps above -TAU_PSD: ``eigvalsh`` would pass every
-    matrix the gate passes.  A stack that fails the gate is checked as if
-    there were none.
     """
     finite = None
     if not np.isfinite(m).all():
         finite = np.isfinite(m).all(axis=(-2, -1))
         m = np.where(finite[..., None, None], m, 0.0)  # eigvalsh cannot take non-finite entries
-    elif m.ndim > 2:
+    adjoint = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - adjoint).max(axis=(-2, -1))
+    min_eigenvalue = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
+    trace = m.diagonal(0, -2, -1).sum(axis=-1)
+    if finite is not None:
+        defect, min_eigenvalue, trace = (np.where(finite, x, np.nan) for x in (defect, min_eigenvalue, trace))
+    return defect, min_eigenvalue, trace
+
+
+def _require_density(m: np.ndarray) -> np.ndarray:
+    """The real diagonal sums of a ``(..., n, n)`` complex stack of density
+    matrices, or the :class:`ValidationError` its first failing matrix's
+    report names: Hermitian, PSD and a trace above TAU_NORM, as
+    :func:`validate_density` checks them.
+
+    The one owner of that decision.  A PSD gate spares ``eigvalsh`` on a
+    stack; one matrix skips it, as it costs more than ``eigvalsh``.  It passes
+    a stack of finite matrices whose M - M^dagger have real and imaginary
+    parts within TAU_HERM / 2 (so defects within TAU_HERM), whose traces
+    exceed TAU_NORM and keep n (n + 1) u tr H < TAU_PSD / 4, and whose
+    H + (TAU_PSD / 2) I all pass the column Cholesky of
+    :func:`_shifted_cholesky_passes`.  Cholesky is backward stable for any
+    order of its inner products (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10), so a completed factorization proves
+    lambda_min >= -TAU_PSD / 2 - n (n + 1) u tr H, which the trace bound
+    keeps above -TAU_PSD: ``eigvalsh`` would pass every matrix the gate
+    passes.  A stack that fails the gate is checked as if there were none.
+    """
+    if m.ndim > 2 and np.isfinite(m).all():
         n, trace = m.shape[-1], m.diagonal(0, -2, -1).real.sum(axis=-1)
         if (
             np.abs((m - m.conj().swapaxes(-1, -2)).view(np.float64)).max() <= TAU_HERM / 2.0
@@ -138,13 +152,15 @@ def _density_checks(m: np.ndarray):
             and _shifted_cholesky_passes(m)
         ):
             return trace
-    adjoint = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - adjoint).max(axis=(-2, -1))
-    min_eigenvalue = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
-    trace = m.diagonal(0, -2, -1).sum(axis=-1)
-    if finite is not None:
-        defect, min_eigenvalue, trace = (np.where(finite, x, np.nan) for x in (defect, min_eigenvalue, trace))
-    return defect, min_eigenvalue, trace
+    defect, min_eigenvalue, trace = _density_checks(m)
+    ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace.real > TAU_NORM)
+    if np.count_nonzero(ok) < ok.size:
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        report = _density_report(defect[k], min_eigenvalue[k], trace[k], require_unit_trace=False)
+        raise ValidationError("; ".join(report.messages) or f"trace {report.trace!r} is not positive")
+    # the real diagonal's sum, as the gate hands it back, not trace.real: the two
+    # round differently for n >= 4, and normalized values keep their bits across versions
+    return m.diagonal(0, -2, -1).real.sum(axis=-1)
 
 
 def _shifted_cholesky_passes(m: np.ndarray) -> bool:

@@ -1,9 +1,9 @@
 """Scalar complementarity measures.
 
 Every function returns a SQUARED quantity; square roots belong to the
-presentation layer.  Matrix inputs are validated as density matrices and
-trace-normalized, so intensity scaling is harmless.  Negative rounding
-residue is clamped to zero on the way out; :func:`measure_report` keeps
+presentation layer.  ``linalg._require_density`` accepts matrix inputs,
+which are then trace-normalized, so intensity scaling is harmless.  Rounding
+residue below zero is clamped on the way out; :func:`measure_report` keeps
 the raw values in its metadata.
 
 The private kernels take stacks, ``(..., n, n)`` matrices and
@@ -25,8 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from .basis import _stokes_components
-from .errors import DimensionError, PreconditionError, UnsupportedDimension, ValidationError
-from .linalg import StateVector, _density_checks, _density_report, _norm_sq, as_complex_matrix, fingerprint
+from .errors import DimensionError, PreconditionError, UnsupportedDimension
+from .linalg import StateVector, _norm_sq, _require_density, as_complex_matrix, fingerprint
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM, TAU_PSD
 
 
@@ -34,26 +34,12 @@ def _as_density(m, dims=(2, 3)) -> np.ndarray:
     """Validate and trace-normalize a complex128 stack ``(..., n, n)``, n >= 1, of
     density matrices, as :func:`as_complex_matrix` or an in-package stack gives it.
 
-    The checks are :func:`validate_density`'s, run once over the whole stack,
-    behind a Cholesky PSD gate that spares ``eigvalsh`` on passing stacks; a
-    failing stack raises the error its first failing matrix's report names.
+    ``dims`` limits n; ``linalg._require_density`` accepts the stack, or raises
+    its first failing matrix's error, and hands back the traces to divide by.
     """
-    n = m.shape[-1]
-    if dims is not None and n not in dims:
-        raise UnsupportedDimension(f"expected dim in {dims}, got {n}")
-    checks = _density_checks(m)
-    if isinstance(checks, tuple):  # the PSD gate did not pass the whole stack
-        defect, min_eigenvalue, trace = checks
-        ok = (defect <= TAU_HERM) & (min_eigenvalue >= -TAU_PSD) & (trace.real > TAU_NORM)
-        if np.count_nonzero(ok) < ok.size:
-            k = np.unravel_index(np.argmin(ok), ok.shape)
-            report = _density_report(defect[k], min_eigenvalue[k], trace[k], require_unit_trace=False)
-            if not (report.hermitian and report.psd):
-                raise ValidationError("; ".join(report.messages))
-            raise ValidationError(f"trace {report.trace!r} is not positive")
-    # the divisor is the real diagonal's sum, as a passing gate hands it back, not trace.real:
-    # the two round differently for n >= 4, and normalized values keep their bits across versions
-    scale = m.diagonal(0, -2, -1).real.sum(axis=-1) if isinstance(checks, tuple) else checks
+    if dims is not None and m.shape[-1] not in dims:
+        raise UnsupportedDimension(f"expected dim in {dims}, got {m.shape[-1]}")
+    scale = _require_density(m)
     off = np.abs(scale - 1.0) > TAU_NORM
     if np.count_nonzero(off):
         m = m / np.where(off, scale, 1.0)[..., None, None]

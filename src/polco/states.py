@@ -9,9 +9,8 @@ normals and one for a mixed sample's Dirichlet exponentials, so sample
 of samples is one draw per stream and is then built once: one complex
 build, and one Haar norm or, per rank group (a strided view of the
 chunk), one Gram-Schmidt of the frame columns it reads and one projector
-sum.  Frames and projector sums are in-order elementwise arithmetic over
-the stack, with no BLAS call per sample, so every sample has the
-samplers' one-sample bits.
+sum, in-order elementwise arithmetic with no BLAS call per sample.  The
+samplers are these builders on a stack of one, so they share every bit.
 """
 
 from __future__ import annotations
@@ -108,8 +107,7 @@ def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
     normals, exponentials = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     for start in range(0, n, CHUNK):
         count = min(CHUNK, n - start)
-        g = normals.standard_normal((count, 2, *((dim, dim) if mixed else (dim,))))
-        z = _complex_from(g[:, 0], g[:, 1])
+        z = _complex_gaussians(normals, count, (dim, dim) if mixed else (dim,))
         if mixed:
             yield _mixed_stack(z, exponentials.standard_exponential((count, dim)), start, rank)
         else:
@@ -125,30 +123,22 @@ def _require_dim(caller: str, dim, least: int) -> None:
         raise DimensionError(f"{caller} needs dim >= {least}, got {dim}")
 
 
-def _complex_gaussians(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Standard complex normals: (g1 + i g2) / sqrt(2), g1, g2 ~ N(0, 1), g1 drawn first."""
-    g = rng.standard_normal((2, *shape))
-    return _complex_from(g[0], g[1])
-
-
-def _complex_from(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """(g0 + i g1) / sqrt(2) written into one buffer, with that formula's bits: each part
-    is its normal times fl(1/sqrt(2)), which is how numpy divides a complex by a real."""
-    z = np.empty(g0.shape, dtype=np.complex128)
-    np.multiply(g0, _INV_SQRT2, out=z.real)
-    np.multiply(g1, _INV_SQRT2, out=z.imag)
+def _complex_gaussians(rng: np.random.Generator, count: int, shape: tuple) -> np.ndarray:
+    """``count`` stacked standard complex normals of ``shape``, (g1 + i g2) / sqrt(2) with
+    g1, g2 ~ N(0, 1) and each sample's g1 drawn before its g2, written into one buffer with
+    that formula's bits: each part is its normal times fl(1/sqrt(2)), which is how numpy
+    divides a complex by a real."""
+    g = rng.standard_normal((count, 2, *shape))
+    z = np.empty((count, *shape), dtype=np.complex128)
+    np.multiply(g[:, 0], _INV_SQRT2, out=z.real)
+    np.multiply(g[:, 1], _INV_SQRT2, out=z.imag)
     return z
 
 
-def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random amplitudes: a complex Gaussian vector over its own 1-d norm."""
-    z = _complex_gaussians(rng, (dim,))
-    return z / np.linalg.norm(z)
-
-
 def _haar_rows(z: np.ndarray) -> np.ndarray:
-    """``_haar_amplitudes`` of each row, bit for bit: sqrt(re . re + im . im) is ``np.linalg.norm``'s
-    1-d complex formula, and numpy's matmul hands a (1, d) @ (d, 1) product to that same ``dot``."""
+    """Each row of a (count, d) complex stack over its norm sqrt(re . re + im . im), which is
+    ``np.linalg.norm``'s 1-d complex formula: numpy's matmul hands each (1, d) @ (d, 1) product
+    to the same ``dot``, so a row has the bits of ``row / np.linalg.norm(row)``."""
     re, im = z.real[:, None, :], z.imag[:, None, :]
     return z / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
@@ -190,11 +180,11 @@ def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _mixed_stack(z: np.ndarray, e: np.ndarray, start: int, rank: int | None) -> np.ndarray:
-    """The density matrix ``random_mixed`` builds from each Ginibre ``z[i]`` and the
-    exponentials ``e[i, :rank]``, bit for bit, where chunk sample ``i`` is the campaign's
-    ``start + i``-th and has rank ``rank`` or, if None, ``(start + i) % dim + 1``.  Each rank
-    group is one strided view of the chunk, with one frame of ``rank`` columns, one simplex
-    and one projector sum."""
+    """The density matrix of each Ginibre ``z[i]`` and the exponentials ``e[i, :rank]``:
+    the projector sum of its Haar frame's first ``rank`` columns with Dirichlet weights, where
+    chunk sample ``i`` is the campaign's ``start + i``-th and has rank ``rank`` or, if None,
+    ``(start + i) % dim + 1``.  Each rank group is one strided view of the chunk, with one frame
+    of ``rank`` columns, one simplex and one projector sum."""
     dim, out = z.shape[-1], np.empty_like(z)
     for r in range(1, dim + 1) if rank is None else (rank,):
         # cycling ranks: sample start + i has rank (start + i) % dim + 1, so every dim-th sample
@@ -205,30 +195,27 @@ def _mixed_stack(z: np.ndarray, e: np.ndarray, start: int, rank: int | None) -> 
 
 
 def haar_pure(dim: int, seed, split: tuple[int, int] | None = None) -> StateVector:
-    """Haar-random pure state: a normalized complex Gaussian vector."""
+    """Haar-random pure state: a normalized complex Gaussian vector, built as a
+    campaign builds a stack of them."""
     _require_dim("haar_pure", dim, 2)
-    return StateVector(_haar_amplitudes(_rng_from(seed), dim), split=split)
+    return StateVector(_haar_rows(_complex_gaussians(_rng_from(seed), 1, (dim,)))[0], split=split)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary: Gram-Schmidt (CGS2) of a Ginibre sample's columns, in the
-    in-order elementwise arithmetic that builds a campaign's stacked frames, with no BLAS call."""
+    """Haar-distributed unitary: Gram-Schmidt (CGS2) of a Ginibre sample's columns, the
+    stacked in-order elementwise arithmetic of a campaign's frames, with no BLAS call."""
     _require_dim("haar_unitary", dim, 1)
-    return np.ascontiguousarray(_unitaries(_complex_gaussians(_rng_from(seed), (dim, dim))))
+    return np.ascontiguousarray(_unitaries(_complex_gaussians(_rng_from(seed), 1, (dim, dim)))[0])
 
 
-def random_mixed(dim: int, rank: int, seed, equal_weights: bool = False) -> np.ndarray:
-    """Random density matrix of exact rank.
+def random_mixed(dim: int, rank: int, seed) -> np.ndarray:
+    """Random density matrix of exact rank, built as a campaign builds a stack of them.
 
     Eigenvectors are the first ``rank`` columns of a Haar unitary;
-    eigenvalues are Dirichlet-uniform on the rank simplex (or all equal
-    to 1/rank with ``equal_weights``, in which case rank == dim gives
-    the maximally mixed state).
+    eigenvalues are Dirichlet-uniform on the rank simplex.
     """
     _require_dim("random_mixed", dim, 1)
     if not (_is_int(rank) and 1 <= rank <= dim):
         raise DimensionError(f"rank must be in 1..{dim}, got {rank!r}")
-    rng = _rng_from(seed)
-    z = _complex_gaussians(rng, (dim, dim))  # then the exponentials dirichlet would draw
-    e = np.ones(rank) if equal_weights else rng.standard_exponential(rank)
-    return np.ascontiguousarray(_mixed_from(_unitaries(z, rank), _simplex(e)))
+    rng = _rng_from(seed)  # the normals, then the exponentials dirichlet would draw
+    return _mixed_stack(_complex_gaussians(rng, 1, (dim, dim)), rng.standard_exponential((1, rank)), 0, rank)[0]

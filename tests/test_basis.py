@@ -1,5 +1,6 @@
 """Generator sets, structure constants, and Stokes-vector algebra."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -75,6 +76,18 @@ def test_generators_traceless_hermitian_orthogonal(n):
         for j, gj in enumerate(basis):
             expected = 2.0 if i == j else 0.0
             assert abs(np.trace(gi @ gj) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("n,digest", [
+    (2, "5f6a5d75d7eb2583bc1700920d4ddcf616c65a750483bbb372215ce30217e9ff"),
+    (3, "f55d257a57493c2f347c8946c2eb8a3705c7da47f9960a42b40017f9cb8c7372"),
+])
+def test_generators_have_the_bits_of_the_standard_tables(n, digest):
+    # the matrix-unit rule gives the typed-out Pauli and Gell-Mann tables' bytes, signed zeros
+    # included (-1j is -0.0 - 1j), as one cached read-only array
+    basis = generators(n)
+    assert hashlib.sha256(basis.tobytes()).hexdigest() == digest
+    assert basis is generators(n) and not basis.flags.writeable
 
 
 def test_generators_unsupported_dimension():

@@ -259,6 +259,12 @@ def test_state_vector_rejects_non_finite(bad):
         StateVector(np.array([bad, 0.6, 0.0]))
 
 
+@pytest.mark.parametrize("amplitudes", [np.eye(2) / np.sqrt(2.0), np.zeros(0)])
+def test_state_vector_needs_a_nonempty_1d_array(amplitudes):
+    with pytest.raises(DimensionError, match="nonempty 1-d"):
+        StateVector(amplitudes)
+
+
 def test_state_vector_rejects_bad_split():
     with pytest.raises(DimensionError):
         StateVector(np.array([1, 0, 0, 0]), split=(2, 3))

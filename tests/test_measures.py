@@ -306,6 +306,12 @@ def test_linear_entropy_rejects_invalid_density():
         linear_entropy_sq(np.diag([1.1, -0.1]))
 
 
+def test_linear_entropy_needs_dim_two():
+    # a 1 x 1 density matrix is valid, but d / (d - 1) has no value at d = 1
+    with pytest.raises(UnsupportedDimension, match="dim >= 2"):
+        linear_entropy_sq(np.ones((1, 1)))
+
+
 # --- stacks ------------------------------------------------------------------
 
 BAD_MATRICES = {
@@ -499,6 +505,24 @@ def test_eigvalsh_runs_only_to_name_a_failure_or_report(eigvalsh_calls, kind):
     assert eigvalsh_calls == ([] if kind == "good" else [(7, 3, 3)])
     validate_density(stack[4])
     assert len(eigvalsh_calls) == (1 if kind == "good" else 2)
+
+
+@pytest.mark.parametrize("kind", ["good", "non-psd"])
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (7, 1)])
+def test_the_gate_runs_on_stacks_only_and_before_eigvalsh(monkeypatch, kind, shape):
+    # on one matrix the gate costs more than the eigvalsh it would spare
+    calls = []
+    for owner, name in ((polco.linalg, "_shifted_cholesky_passes"), (np.linalg, "eigvalsh")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
+    stack = np.tile(np.eye(3) / 3 if kind == "good" else BAD_MATRICES[kind], (*shape, 1, 1)) + 0j
+    if kind == "good":
+        _as_density(stack)
+    else:
+        with pytest.raises(ValidationError):
+            _as_density(stack)
+    gate = [] if shape == () else ["_shifted_cholesky_passes"]
+    assert calls == gate + ([] if gate and kind == "good" else ["eigvalsh"])
 
 
 # --- global phase and report ----------------------------------------------

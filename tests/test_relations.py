@@ -283,6 +283,7 @@ def test_triality_subsystem_symmetry(dim, checker):
         (check_qubit_triality_pure, haar_pure(9, 0, split=(3, 3)), DimensionError),
         (check_qutrit_triality_pure, haar_pure(4, 0, split=(2, 2)), DimensionError),
         (check_duality_pure, haar_pure(4, 0, split=(2, 2)), PreconditionError),
+        (check_mixed_triality, np.ones((2, 3)) / 2, DimensionError),
     ],
 )
 def test_checks_reject_inputs_outside_their_relation(checker, sample, error):
@@ -462,17 +463,23 @@ def test_campaign_evaluates_whole_chunks(validated, small_chunk, monkeypatch, re
 
 @pytest.mark.parametrize("relation", relation_ids())
 def test_campaign_samples_whole_chunks(monkeypatch, small_chunk, relation):
-    # no LAPACK QR (the frames are stacked Gram-Schmidt), and no sampler, complex
-    # build, Haar norm or StateVector per sample: the streams only draw
+    # no LAPACK QR (the frames are stacked Gram-Schmidt), no sampler, Haar norm or
+    # StateVector per sample, and one complex build per chunk
     def forbidden(*args, **kwargs):
         raise AssertionError("per-sample sampler inside a campaign")
 
     for module in (polco.states, polco.relations, polco.linalg):
-        for name in ("random_mixed", "haar_unitary", "haar_pure", "StateVector",
-                     "_haar_amplitudes", "_complex_gaussians"):
+        for name in ("random_mixed", "haar_unitary", "haar_pure", "StateVector"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(np.linalg, "norm", forbidden)
+    builds, complex_gaussians = [], polco.states._complex_gaussians
+
+    def counted_build(rng, count, shape):
+        builds.append(count)
+        return complex_gaussians(rng, count, shape)
+
+    monkeypatch.setattr(polco.states, "_complex_gaussians", counted_build)
     qr_calls = []
     qr = np.linalg.qr
 
@@ -483,6 +490,7 @@ def test_campaign_samples_whole_chunks(monkeypatch, small_chunk, relation):
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     run_campaign(relation, 2 * small_chunk + 5, seed=3)
     assert qr_calls == []
+    assert builds == [small_chunk, small_chunk, 5]
 
 
 @pytest.mark.parametrize(
@@ -604,6 +612,30 @@ def test_a_campaigns_first_sample_is_pinned():
         0x3FE7F94B089D7759, 0x3C8580B0FDD3ABFE, 0x3FD18DE389D06464, 0xBFBD5BDC24138FCE,
         0x3FD18DE389D06463, 0x3FBD5BDC24138FCD, 0x3FD00D69EEC5114E, 0x3C58FEB3FFD8E3BA,
     ]
+
+
+# (max_residual, mean_residual) of each relation's campaign at seed 7 over 2 * CHUNK + 5 samples
+PINNED_SUMMARIES = {
+    "qubit-duality": (1.3322676295501878e-15, 2.974294513121462e-16),
+    "qutrit-duality": (1.5543122344752192e-15, 3.8514410040820094e-16),
+    "pct": (6.661338147750939e-16, 1.2604043782368451e-16),
+    "qubit-triality": (2.3314683517128287e-15, 5.837778864069101e-16),
+    "qutrit-triality": (1.9984014443252818e-15, 5.8056876944079515e-16),
+    "qubit-mixed-triality": (1.3322676295501878e-15, 2.906156129729952e-16),
+    "qutrit-mixed-triality": (1.5543122344752192e-15, 2.721209089095854e-16),
+    "stokes-geometry": (1.2212453270876722e-15, 3.1867284289009693e-16),
+}
+
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_campaign_summaries_are_pinned(relation):
+    # literals from the same platform as the pinned first sample: a change to the samplers,
+    # the density gate or a measure kernel that moves one bit of any sample's residual shows here
+    max_residual, mean_residual = PINNED_SUMMARIES[relation]
+    assert summary_to_json(run_campaign(relation, 2 * CHUNK + 5, 7)) == {
+        "relation_id": relation, "n_samples": 2 * CHUNK + 5, "max_residual": max_residual,
+        "mean_residual": mean_residual, "failures": 0, "seed": 7, "tolerance": 1e-9,
+    }
 
 
 MIXED_RELATIONS = ("pct", "qubit-mixed-triality", "qutrit-mixed-triality")

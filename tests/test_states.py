@@ -22,7 +22,7 @@ from polco import (
     random_mixed,
     state_to_json,
 )
-from polco.states import _complex_from, _complex_gaussians, _haar_rows, _mixed_from, _unitaries
+from polco.states import _complex_gaussians, _haar_rows, _mixed_from, _unitaries
 
 
 # --- beam mapping --------------------------------------------------------
@@ -235,12 +235,6 @@ def test_random_mixed_rank_one_is_pure():
     assert linear_entropy_sq(rho) <= 1e-10
 
 
-def test_random_mixed_equal_weights_full_rank_is_maximally_mixed():
-    for dim in (2, 3):
-        rho = random_mixed(dim, dim, 10, equal_weights=True)
-        np.testing.assert_allclose(rho, np.eye(dim) / dim, atol=1e-12)
-
-
 def test_random_mixed_validation_campaign():
     streams = np.random.SeedSequence(303).spawn(500)
     for i, stream in enumerate(streams):
@@ -275,25 +269,23 @@ def test_random_mixed_rejects_non_integer_dim_or_rank(dim, rank):
         random_mixed(dim, rank, 0)
 
 
-def _dirichlet_route(dim, rank, rng, equal_weights=False):
+def _dirichlet_route(dim, rank, rng):
     """random_mixed as drawn before the exponential weights: two normal draws,
     then ``Generator.dirichlet``; the unitary and projector build is shared."""
     re = rng.standard_normal((dim, dim))
     im = rng.standard_normal((dim, dim))
     z = (re + 1j * im) / np.sqrt(2.0)
-    weights = np.full(rank, 1.0 / rank) if equal_weights else rng.dirichlet(np.ones(rank))
-    return _mixed_from(_unitaries(z), weights)
+    return _mixed_from(_unitaries(z), rng.dirichlet(np.ones(rank)))
 
 
-@pytest.mark.parametrize("equal_weights", [False, True])
-def test_random_mixed_equals_the_dirichlet_route_bit_for_bit(equal_weights):
+def test_random_mixed_equals_the_dirichlet_route_bit_for_bit():
     # dims 1..9 reach the ranks (8 and up) where np.sum's pairwise order rounds differently
     for dim in range(1, 10):
         for rank in range(1, dim + 1):
             for seed in range(100):
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = random_mixed(dim, rank, ours, equal_weights=equal_weights)
-                assert got.tobytes() == _dirichlet_route(dim, rank, theirs, equal_weights).tobytes()
+                got = random_mixed(dim, rank, ours)
+                assert got.tobytes() == _dirichlet_route(dim, rank, theirs).tobytes()
                 assert ours.bit_generator.state == theirs.bit_generator.state
                 assert ours.standard_normal() == theirs.standard_normal()
 
@@ -309,17 +301,32 @@ def test_stacked_haar_norm_equals_np_linalg_norm_bit_for_bit(dim):
     assert _haar_rows(z).tobytes() == expected.tobytes()
 
 
+class _Drawn:
+    """Stands in for a Generator whose next normals are ``g``."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def standard_normal(self, size):
+        assert size == self.g.shape
+        return self.g
+
+
+@pytest.mark.parametrize("count", [1, 1000])
 @pytest.mark.parametrize("shape", [(2,), (3,), (9,), (2, 2), (3, 3)])
-def test_the_complex_build_has_the_bits_of_dividing_by_sqrt2(shape):
+def test_the_complex_build_has_the_bits_of_dividing_by_sqrt2(shape, count):
     # each part is written as its normal times fl(1/sqrt 2), which is how numpy divides a
-    # complex by a real; campaigns draw (count, 2, *shape), the samplers (2, *shape)
-    g = np.random.default_rng(len(shape)).standard_normal((1000, 2, *shape))
-    g *= np.logspace(-150, 150, 1000).reshape(-1, *[1] * (len(shape) + 1))
-    assert _complex_from(g[:, 0], g[:, 1]).tobytes() == ((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)).tobytes()
+    # complex by a real; a campaign draws a chunk of count samples, a sampler a stack of one,
+    # in both cases each sample's real normals before its imaginary ones
+    g = np.random.default_rng(len(shape)).standard_normal((count, 2, *shape))
+    g *= np.logspace(-150, 150, count).reshape(-1, *[1] * (len(shape) + 1))
+    expected = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    assert _complex_gaussians(_Drawn(g), count, shape).tobytes() == expected.tobytes()
     ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(20):
-        expected = theirs.standard_normal((2, *shape))
-        assert _complex_gaussians(ours, shape).tobytes() == ((expected[0] + 1j * expected[1]) / np.sqrt(2.0)).tobytes()
+        g = theirs.standard_normal((count * 2, *shape)).reshape(count, 2, *shape)
+        expected = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+        assert _complex_gaussians(ours, count, shape).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (2, 9), (2, 3, 3)])
