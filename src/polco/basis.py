@@ -7,6 +7,12 @@ n = 3), and expands as Phi = (I + sqrt(n(n - 1)/2) sum_i S_i g_i)/n.
 Both are built from matrix units; the imaginary off-diagonal generators
 carry -i above the diagonal and +i below, keeping each one Hermitian.
 ``generators(n)`` returns the basis as one read-only (n^2 - 1, n, n) array.
+
+The private kernels take stacks with the matrix or component axis first:
+``(n, n, ...)`` matrices give ``(n^2 - 1, ...)`` Stokes components, each a
+gather of its generator's nonzero entries added in order, and the d_ijk
+sums run over the nonzero terms in order, so one matrix (no stack axes)
+gets the bits it gets inside a stack.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, UnsupportedDimension, ValidationError
-from .linalg import _is_int, _norm_sq, as_complex_matrix
+from .linalg import _in_order_sum, _is_int, _norm_sq, as_complex_matrix
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM
 
 _SQRT3 = np.sqrt(3.0)
@@ -78,7 +84,7 @@ class StokesVector:
 
     def norm_sq(self) -> float:
         """Squared Euclidean length of the component vector."""
-        return float(self.components @ self.components)
+        return float(_norm_sq(self.components))
 
 
 class StructureConstants(NamedTuple):
@@ -132,11 +138,35 @@ def stokes_extract(phi) -> StokesVector:
     return StokesVector(phi.shape[0], _stokes_components(phi))
 
 
+@lru_cache(maxsize=None)
+def _generator_entries(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each generator's nonzero entries as padded (term, k) tables: g_kij, and the
+    flat index j n + i of the phi_ji it multiplies in Tr(g_k phi) = sum_ij g_kij phi_ji;
+    then 1/sqrt(kappa(n)).
+
+    Column k lists g_k's entries in (i, j) order, then zero terms up to the
+    longest column.  An entry is real or imaginary, so the real part of its
+    product is one rounded real product, Re g_kij Re phi_ji or -Im g_kij Im phi_ji."""
+    g = generators(n)
+    entries = [np.argwhere(gk) for gk in g]
+    shape = (max(map(len, entries)), len(g))
+    coeff, flat = np.zeros(shape, dtype=np.complex128), np.zeros(shape, dtype=np.intp)
+    for k, (i, j) in enumerate(ij.T for ij in entries):
+        coeff[:len(i), k], flat[:len(i), k] = g[k, i, j], j * n + i
+    coeff.flags.writeable = flat.flags.writeable = False
+    return coeff, flat, math.sqrt(n / (2.0 * (n - 1)))
+
+
 def _stokes_components(phi: np.ndarray) -> np.ndarray:
-    """Stokes components of a stack ``(..., n, n)`` of unit-trace Hermitian matrices."""
-    n = phi.shape[-1]
-    raw = np.einsum("kij,...ji->...k", generators(n), phi)  # Tr(g_k phi) for each k
-    return math.sqrt(n / (2.0 * (n - 1))) * raw.real  # 1/sqrt(kappa(n))
+    """Stokes components ``(n^2 - 1, ...)`` of a stack ``(n, n, ...)`` of unit-trace
+    Hermitian matrices: Re Tr(g_k phi) as one gather of the phi_ji that g_k's nonzero
+    entries multiply, the real parts of the products added in order."""
+    n = len(phi)
+    coeff, flat, scale = _generator_entries(n)
+    terms = phi.reshape((n * n,) + phi.shape[2:])[flat]  # (term, k, ...)
+    reversed_terms = terms.T  # axes reversed, the (term, k) table broadcasts over the stack axes
+    np.multiply(reversed_terms, coeff.T, out=reversed_terms)
+    return scale * _in_order_sum(terms.real)
 
 
 def stokes_reconstruct(s: StokesVector) -> np.ndarray:
@@ -173,8 +203,8 @@ def pure_state_constraints(s: StokesVector) -> PurityResiduals:
 
 
 @lru_cache(maxsize=1)
-def _d_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero d_ijk as a padded (term, k) table of (d_ijk, i, j).
+def _d_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero d_ijk as padded (term, k) tables: d_ijk, and (i, j) stacked.
 
     Column k lists its (i, j) in lexicographic order, then zero terms up to
     the longest column; 58 of the 512 d_ijk are nonzero.
@@ -182,29 +212,30 @@ def _d_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = structure_constants().d
     columns = [np.argwhere(d[:, :, k]) for k in range(d.shape[-1])]
     shape = (max(map(len, columns)), len(columns))
-    coeff, i, j = np.zeros(shape), np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    coeff, index = np.zeros(shape), np.zeros((2, *shape), dtype=np.intp)
     for k, (rows, cols) in enumerate(ij.T for ij in columns):
-        coeff[:len(rows), k], i[:len(rows), k], j[:len(rows), k] = d[rows, cols, k], rows, cols
-    for table in (coeff, i, j):
-        table.flags.writeable = False
-    return coeff, i, j
+        coeff[:len(rows), k] = d[rows, cols, k]
+        index[:, :len(rows), k] = rows, cols
+    coeff.flags.writeable = index.flags.writeable = False
+    return coeff, index
 
 
 def _purity_residuals(comps: np.ndarray):
-    """(norm, d_ijk) residuals of :func:`pure_state_constraints` over a stack ``(..., 8)``.
+    """(norm, d_ijk) residuals of :func:`pure_state_constraints` over a stack ``(8, ...)``.
 
     sum_ij d_ijk S_i S_j runs over the nonzero d_ijk only, adding each k's
-    terms (d_ijk S_i) S_j in (i, j) order, as ``np.einsum`` adds all 64: the
-    sum over the term axis, which is not the innermost, runs in order, and a
-    zero term leaves a finite sum as it is.
+    terms (d_ijk S_i) S_j in (i, j) order, as ``np.einsum`` adds all 64 over
+    one vector: a zero term leaves a finite sum as it is.
     """
-    norm_residual = np.abs(_norm_sq(comps) - 1.0)
-    coeff, i, j = _d_terms()
-    terms = comps[..., i]
-    terms *= coeff
-    terms *= comps[..., j]
-    quadratic = _SQRT3 * terms.sum(axis=-2)
-    return norm_residual, np.abs(quadratic - comps).max(axis=-1)
+    norm_residual = abs(_norm_sq(comps) - 1.0)
+    coeff, index = _d_terms()
+    factors = comps[index]  # S_i and S_j, each (term, k, ...), from one gather
+    terms = factors[0]
+    reversed_terms = terms.T  # axes reversed, the (term, k) table broadcasts over the stack axes
+    reversed_terms *= coeff.T
+    terms *= factors[1]
+    quadratic = _SQRT3 * _in_order_sum(terms)
+    return norm_residual, abs(quadratic - comps).max(axis=0)
 
 
 def stokes_to_json(s: StokesVector) -> dict:

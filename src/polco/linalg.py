@@ -6,12 +6,21 @@ matrices and Hermitian generators; pure states travel as
 with subsystem A major: ``(i_A, i_B) -> i_A * dB + i_B``.  Density
 checks (Hermitian defect, PSD, trace) are written once, over stacks;
 ``_require_density`` alone accepts a stack as density matrices or raises.
+
+Stacks put the matrix or vector axes first and the stack axes last: an
+``(n, n, ...)`` array is a stack of n x n matrices, and ``m[i, j]`` is
+entry (i, j) of every matrix at once, so one matrix is the stack with no
+stack axes and runs the same code.  A sum over matrix entries is added in
+written order, x_0 + x_1 + ..., by :func:`_in_order_sum`; no kernel
+leaves the order of a sum to numpy's pairwise tree or to a BLAS dot.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Integral
 
 import numpy as np
@@ -103,29 +112,37 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 def _density_checks(m: np.ndarray):
-    """Per matrix of a ``(..., n, n)`` complex stack: Hermitian defect, least
-    eigenvalue of the Hermitian part H, and trace.
+    """Per matrix of an ``(n, n, ...)`` complex stack: Hermitian defect, least
+    eigenvalue of the Hermitian part H, and trace, added in order.
 
     The one place a density matrix is diagonalized: :func:`validate_density`
     reads one matrix's values as a report, :func:`_require_density` a
-    stack's as a pass or its first failure.  A matrix with non-finite
-    entries is not diagonalized, and all three of its values read NaN.
+    stack's as a pass or its first failure.  ``eigvalsh`` runs on a view
+    with the matrix axes moved last, as it takes them.  A matrix with
+    non-finite entries is not diagonalized, and all three of its values read NaN.
     """
     finite = None
     if not np.isfinite(m).all():
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        m = np.where(finite[..., None, None], m, 0.0)  # eigvalsh cannot take non-finite entries
-    adjoint = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - adjoint).max(axis=(-2, -1))
-    min_eigenvalue = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
-    trace = m.diagonal(0, -2, -1).sum(axis=-1)
+        finite = np.isfinite(m).all(axis=(0, 1))
+        m = np.where(finite, m, 0.0)  # eigvalsh cannot take non-finite entries
+    adjoint = m.conj().swapaxes(0, 1)
+    defect = np.abs(m - adjoint).max(axis=(0, 1))
+    min_eigenvalue = np.linalg.eigvalsh(((m + adjoint) / 2.0).transpose(*range(2, m.ndim), 0, 1))[..., 0]
+    trace = _in_order_sum([m[i, i] for i in range(len(m))])
     if finite is not None:
         defect, min_eigenvalue, trace = (np.where(finite, x, np.nan) for x in (defect, min_eigenvalue, trace))
     return defect, min_eigenvalue, trace
 
 
+def _in_order_sum(terms):
+    """terms[0] + terms[1] + ... in that order, over the first axis of an array or
+    over a sequence.  One entry's terms are numpy scalars, which add as the
+    array loops add, so one matrix gets the bits it gets inside a stack."""
+    return reduce(operator.add, terms)
+
+
 def _require_density(m: np.ndarray) -> np.ndarray:
-    """The real diagonal sums of a ``(..., n, n)`` complex stack of density
+    """The real diagonal sums of an ``(n, n, ...)`` complex stack of density
     matrices, or the :class:`ValidationError` its first failing matrix's
     report names: Hermitian, PSD and a trace above TAU_NORM, as
     :func:`validate_density` checks them.
@@ -144,9 +161,11 @@ def _require_density(m: np.ndarray) -> np.ndarray:
     passes.  A stack that fails the gate is checked as if there were none.
     """
     if m.ndim > 2 and np.isfinite(m).all():
-        n, trace = m.shape[-1], m.diagonal(0, -2, -1).real.sum(axis=-1)
+        n = len(m)
+        trace = _in_order_sum([m[i, i].real for i in range(n)])
+        re, im = m.real, m.imag  # M - M^dagger has parts re - re^T and im + im^T
         if (
-            np.abs((m - m.conj().swapaxes(-1, -2)).view(np.float64)).max() <= TAU_HERM / 2.0
+            max(np.abs(re - re.swapaxes(0, 1)).max(), np.abs(im + im.swapaxes(0, 1)).max()) <= TAU_HERM / 2.0
             and trace.min() > TAU_NORM
             and n * (n + 1) * _UNIT_ROUNDOFF * trace.max() < TAU_PSD / 4.0
             and _shifted_cholesky_passes(m)
@@ -158,27 +177,26 @@ def _require_density(m: np.ndarray) -> np.ndarray:
         k = np.unravel_index(np.argmin(ok), ok.shape)
         report = _density_report(defect[k], min_eigenvalue[k], trace[k], require_unit_trace=False)
         raise ValidationError("; ".join(report.messages) or f"trace {report.trace!r} is not positive")
-    # the real diagonal's sum, as the gate hands it back, not trace.real: the two
-    # round differently for n >= 4, and normalized values keep their bits across versions
-    return m.diagonal(0, -2, -1).real.sum(axis=-1)
+    return trace.real  # the in-order sum of Re m_ii, as the gate hands it back
 
 
 def _shifted_cholesky_passes(m: np.ndarray) -> bool:
     """Whether H + (TAU_PSD / 2) I, H the Hermitian part of each matrix of a
-    stack ``(..., n, n)``, has a Cholesky factor, as an unblocked column
+    stack ``(n, n, ...)``, has a Cholesky factor, as an unblocked column
     Cholesky over the whole stack finds it: one vectorized step per entry of
-    H's lower triangle, H_ij = (m_ij + conj(m_ji)) / 2 and H_jj = Re m_jj."""
-    n = m.shape[-1]
+    H's lower triangle, H_ij = (m_ij + conj(m_ji)) / 2 and H_jj = Re m_jj,
+    each read as one contiguous row ``m[i, j]`` of the stack."""
+    n = len(m)
     low = {}
     for j in range(n):
-        pivot = m[..., j, j].real + TAU_PSD / 2.0
+        pivot = m[j, j].real + TAU_PSD / 2.0
         for k in range(j):
             pivot = pivot - (low[j, k].real ** 2 + low[j, k].imag ** 2)
         if not (pivot > 0.0).all():
             return False
         root = np.sqrt(pivot)
         for i in range(j + 1, n):
-            entry = (m[..., i, j] + m[..., j, i].conj()) / 2.0
+            entry = (m[i, j] + m[j, i].conj()) / 2.0
             for k in range(j):
                 entry = entry - low[i, k] * low[j, k].conj()
             low[i, j] = entry / root
@@ -259,8 +277,8 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, keep: str = "A") -> np.ndar
 
 
 def _norm_sq(v: np.ndarray) -> np.ndarray:
-    """Squared norms of a stack ``(..., k)`` of real vectors, rounded as ``v @ v`` rounds."""
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    """Squared norms of a stack ``(k, ...)`` of real vectors: v_0^2 + v_1^2 + ..., in order."""
+    return _in_order_sum(np.square(v))
 
 
 def fingerprint(obj) -> str:

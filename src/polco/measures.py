@@ -6,13 +6,15 @@ which are then trace-normalized, so intensity scaling is harmless.  Rounding
 residue below zero is clamped on the way out; :func:`measure_report` keeps
 the raw values in its metadata.
 
-The private kernels take stacks, ``(..., n, n)`` matrices and
-``(..., dA, dB)`` amplitude tables, so one input and a campaign's stack
-of samples go through the same code.  Where a single input would reach
-numpy's scalar operators, which round some complex products and powers
-differently from the ufunc loops, the kernels call the ufunc
-(``np.multiply``, ``np.square``), so one input gets the bits it would
-get inside a stack.
+The private kernels take stacks with the matrix axes first and the stack
+axes last, ``(n, n, ...)`` matrices and ``(dA, dB, ...)`` amplitude
+tables, so one input (no stack axes) and a campaign's stack of samples go
+through the same code, and ``m[i, j]`` reads one entry of every sample.
+Sums over entries are added in written order by ``linalg._in_order_sum``.
+Where a single input would reach numpy's scalar operators, which round
+some complex products and powers differently from the ufunc loops, the
+kernels call the ufunc (``np.multiply``, ``np.square``), so one input gets
+the bits it would get inside a stack.
 """
 
 from __future__ import annotations
@@ -26,23 +28,23 @@ import numpy as np
 
 from .basis import _stokes_components
 from .errors import DimensionError, PreconditionError, UnsupportedDimension
-from .linalg import StateVector, _norm_sq, _require_density, as_complex_matrix, fingerprint
+from .linalg import StateVector, _in_order_sum, _norm_sq, _require_density, as_complex_matrix, fingerprint
 from .tolerances import TAU_HERM, TAU_NORM, TAU_NUM, TAU_PSD
 
 
 def _as_density(m, dims=(2, 3)) -> np.ndarray:
-    """Validate and trace-normalize a complex128 stack ``(..., n, n)``, n >= 1, of
+    """Validate and trace-normalize a complex128 stack ``(n, n, ...)``, n >= 1, of
     density matrices, as :func:`as_complex_matrix` or an in-package stack gives it.
 
     ``dims`` limits n; ``linalg._require_density`` accepts the stack, or raises
     its first failing matrix's error, and hands back the traces to divide by.
     """
-    if dims is not None and m.shape[-1] not in dims:
-        raise UnsupportedDimension(f"expected dim in {dims}, got {m.shape[-1]}")
+    if dims is not None and len(m) not in dims:
+        raise UnsupportedDimension(f"expected dim in {dims}, got {len(m)}")
     scale = _require_density(m)
-    off = np.abs(scale - 1.0) > TAU_NORM
+    off = abs(scale - 1.0) > TAU_NORM
     if np.count_nonzero(off):
-        m = m / np.where(off, scale, 1.0)[..., None, None]
+        m = m / np.where(off, scale, 1.0)
     return m
 
 
@@ -51,11 +53,21 @@ def _kappa(n: int) -> float:
     return 2.0 * (n - 1) / n
 
 
+@lru_cache(maxsize=None)
+def _entries(n: int, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of the entries of n x n where i == j, i != j or i < j, row by row."""
+    i, j = np.indices((n, n)).reshape(2, -1)
+    keep = {"diagonal": i == j, "off-diagonal": i != j, "upper": i < j}[where]
+    i, j = i[keep], j[keep]
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _predictability_raw(phi: np.ndarray) -> np.ndarray:
-    p = phi.diagonal(0, -2, -1).real
-    n = p.shape[-1]
+    n = len(phi)
+    p = phi[_entries(n, "diagonal")].real
     sum_sq = _norm_sq(p)
-    cross = (np.square(p.sum(axis=-1)) - sum_sq) / 2.0
+    cross = (np.square(_in_order_sum(p)) - sum_sq) / 2.0
     return _kappa(n) * (sum_sq - 2.0 * cross / (n - 1))
 
 
@@ -69,16 +81,8 @@ def predictability_sq(phi) -> float:
     return max(float(_predictability_raw(_as_density(as_complex_matrix(phi)))), 0.0)
 
 
-@lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> np.ndarray:
-    mask = ~np.eye(n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def _coherence_raw(phi: np.ndarray) -> np.ndarray:
-    off = phi * _off_diagonal(phi.shape[-1])
-    return 2.0 * (np.abs(off) ** 2).sum(axis=(-2, -1))
+    return 2.0 * _in_order_sum(np.abs(phi[_entries(len(phi), "off-diagonal")]) ** 2)
 
 
 def coherence_hs_sq(phi) -> float:
@@ -107,29 +111,22 @@ def concurrence_2x2(state: StateVector) -> float:
 
 
 def _concurrence(table: np.ndarray) -> np.ndarray:
-    """2 |a d - b c| over a stack of 2x2 amplitude tables."""
-    det = np.multiply(table[..., 0, 0], table[..., 1, 1]) - np.multiply(table[..., 0, 1], table[..., 1, 0])
+    """2 |a d - b c| over a stack ``(2, 2, ...)`` of amplitude tables."""
+    det = np.multiply(table[0, 0], table[1, 1]) - np.multiply(table[0, 1], table[1, 0])
     return 2.0 * np.abs(det)
 
 
 def _gram(table: np.ndarray) -> np.ndarray:
-    """G_ij = <row_j|row_i> over a stack of tables: the reduced matrix of their rows.
+    """G_ij = <row_j|row_i> over a stack ``(dA, dB, ...)`` of tables: the reduced
+    matrix of their rows, ``(dA, dA, ...)``.
 
-    The column terms are added in order, t_0 + t_1 + ...; numpy's ``sum`` over
-    up to three columns rounds the same way."""
-    terms = table[..., :, None, :] * table.conj()[..., None, :, :]
-    gram = terms[..., 0]
-    for k in range(1, terms.shape[-1]):
-        gram = gram + terms[..., k]
+    The column terms t_k[i, j] = table[i, k] conj(table[j, k]) are added in
+    order, t_0 + t_1 + ..., into one buffer."""
+    conj = table.conj()
+    gram = np.multiply(table[:, None, 0], conj[None, :, 0])
+    for k in range(1, table.shape[1]):
+        gram += np.multiply(table[:, None, k], conj[None, :, k])
     return gram
-
-
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (i, j) of every pair i < j below n."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
 
 
 def _wedge_sum(gram: np.ndarray) -> np.ndarray:
@@ -138,10 +135,9 @@ def _wedge_sum(gram: np.ndarray) -> np.ndarray:
     |phi_i ^ phi_j|^2 = G_ii G_jj - |G_ij|^2: the wedge route, kept
     independent of the reduced state's purity.
     """
-    i, j = _pairs(gram.shape[-1])
-    norms = gram.diagonal(0, -2, -1)
-    pairs = (norms[..., i] * norms[..., j]).real - np.abs(gram[..., i, j]) ** 2
-    return 4.0 * np.maximum(pairs, 0.0).sum(axis=-1)
+    i, j = _entries(len(gram), "upper")
+    pairs = np.multiply(gram[i, i], gram[j, j]).real - np.abs(gram[i, j]) ** 2
+    return 4.0 * _in_order_sum(np.maximum(pairs, 0.0))
 
 
 def i_concurrence_sq(state: StateVector) -> float:
@@ -157,8 +153,9 @@ def i_concurrence_sq(state: StateVector) -> float:
 
 
 def _linear_entropy_raw(rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[-1]
-    purity = np.einsum("...ij,...ji->...", rho, rho).real
+    d = len(rho)
+    products = np.multiply(rho, rho.swapaxes(0, 1)).real  # rho_ij rho_ji
+    purity = _in_order_sum(products.reshape((d * d,) + rho.shape[2:]))
     return (d / (d - 1.0)) * (1.0 - purity)
 
 
@@ -169,7 +166,7 @@ def linear_entropy_sq(rho) -> float:
     equals 4 det(rho).
     """
     rho = _as_density(as_complex_matrix(rho), dims=None)
-    if rho.shape[0] < 2:
+    if len(rho) < 2:
         raise UnsupportedDimension("mixedness needs dim >= 2")
     return max(float(_linear_entropy_raw(rho)), 0.0)
 
@@ -181,7 +178,7 @@ def _density_measures(m):
 
 
 def _reduce(table: np.ndarray, keep: str = "A"):
-    """Reduced matrices and E^2 of pure bipartite states, amplitude tables ``(..., dA, dB)``.
+    """Reduced matrices and E^2 of pure bipartite states, amplitude tables ``(dA, dB, ...)``.
 
     E^2 is the squared concurrence on a (2, 2) split and otherwise the
     I-concurrence over the rows of the table (its columns for
@@ -189,9 +186,9 @@ def _reduce(table: np.ndarray, keep: str = "A"):
     """
     if keep not in ("A", "B"):
         raise PreconditionError(f'keep must be "A" or "B", got {keep!r}')
-    rows = table if keep == "A" else table.swapaxes(-1, -2)
+    rows = table if keep == "A" else table.swapaxes(0, 1)
     rho = _gram(rows)
-    if table.shape[-2:] == (2, 2):
+    if table.shape[:2] == (2, 2):
         return rho, np.square(_concurrence(table))
     return rho, _wedge_sum(rho)
 
@@ -228,7 +225,7 @@ def _measure(obj, basis_label: str = "computational"):
         entanglement = float(entanglement)
     rho, *raw_values = _density_measures(as_complex_matrix(measured))
     pred, coh, mix = map(float, raw_values)
-    n = rho.shape[0]
+    n = len(rho)
     stokes = _stokes_components(rho)
 
     raw = {"predictability_sq": pred, "coherence_hs_sq": coh, "linear_entropy_sq": mix}

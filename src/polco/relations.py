@@ -5,7 +5,10 @@ kappa(n) = 2(n - 1)/n (1 for qubits, 4/3 for qutrits): the duality
 P^2 + C^2 = kappa, the mixedness triality kappa M^2 + P^2 + C^2 = kappa
 and the pure triality E^2 + C^2 + P^2 = kappa.  Each relation is one
 function from a stack of samples to ``(lhs, rhs, residual)`` arrays,
-listed in ``_RELATIONS`` with the shape of its samples.  A ``check_*``
+listed in ``_RELATIONS`` with the shape of its samples.  A stack puts the
+sample axes first and the stack axis last, ``(n, count)`` amplitudes,
+``(dA, dB, count)`` tables or ``(n, n, count)`` matrices, so one input is
+the stack with no stack axis and runs the same code.  A ``check_*``
 evaluates it on its one input and returns a :class:`RelationVerdict`;
 ``run_campaign`` evaluates it on stacks of seeded random samples and
 aggregates the residuals without ever raising on an individual failure.
@@ -105,46 +108,46 @@ def _require_state(state, context: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Relations over sample stacks: amplitudes (..., n), amplitude tables
-# (..., dA, dB) or density matrices (..., n, n), to (lhs, rhs, residual)
+# Relations over sample stacks: amplitudes (n, ...), amplitude tables
+# (dA, dB, ...) or density matrices (n, n, ...), to (lhs, rhs, residual)
 # ---------------------------------------------------------------------------
 
 def _projectors(amps: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a stack of amplitude vectors."""
-    return amps[..., :, None] * amps[..., None, :].conj()
+    """|psi><psi| for a stack ``(n, ...)`` of amplitude vectors: ``(n, n, ...)``."""
+    return np.multiply(amps[:, None], amps[None, :].conj())
 
 
 def _clamped(m):
     """Validate a stack once: rho, its P^2, C^2 and M^2 clamped at 0, and kappa(n)."""
     rho, *raw = _density_measures(m)
-    return (rho, *np.maximum(raw, 0.0), _kappa(rho.shape[-1]))
+    return (rho, *np.maximum(raw, 0.0), _kappa(len(rho)))
 
 
 def _duality(amps):
     _, pred, coh, _, kappa = _clamped(_projectors(amps))
     lhs = pred + coh
-    return lhs, kappa, np.abs(lhs - kappa)
+    return lhs, kappa, abs(lhs - kappa)
 
 
 def _pct(phi):
     rho, pred, coh, _, _ = _clamped(phi)
     lhs = np.maximum(_norm_sq(_stokes_components(rho)), 0.0)
     rhs = pred + coh
-    return lhs, rhs, np.abs(lhs - rhs)
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def _triality(tables, subsystem="A"):
     rho, ent_sq = _reduce(tables, subsystem)
     _, pred, coh, mix, kappa = _clamped(rho)
     lhs = ent_sq + coh + pred
-    clauses = (np.abs(lhs - kappa), np.abs(kappa * mix + pred + coh - kappa), np.abs(ent_sq - kappa * mix))
+    clauses = (abs(lhs - kappa), abs(kappa * mix + pred + coh - kappa), abs(ent_sq - kappa * mix))
     return lhs, kappa, np.maximum.reduce(clauses)
 
 
 def _mixed_triality(rho):
     _, pred, coh, mix, kappa = _clamped(rho)
     lhs = kappa * mix + pred + coh
-    return lhs, kappa, np.abs(lhs - kappa)
+    return lhs, kappa, abs(lhs - kappa)
 
 
 def _stokes_geometry(amps):
@@ -293,10 +296,9 @@ def run_campaign(
     residuals = np.empty(n)
     start = 0
     for samples in _campaign_samples(seed, n, dim, mixed, rank):
-        if not mixed:
-            samples = samples.reshape(-1, *shape)
-        residuals[start:start + len(samples)] = evaluate(samples)[2]
-        start += len(samples)
+        count = samples.shape[-1]
+        residuals[start:start + count] = evaluate(samples if mixed else samples.reshape(*shape, count))[2]
+        start += count
     return CampaignSummary(
         relation_id=relation_id,
         n_samples=int(n),

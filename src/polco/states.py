@@ -11,6 +11,8 @@ build, and one Haar norm or, per rank group (a strided view of the
 chunk), one Gram-Schmidt of the frame columns it reads and one projector
 sum, in-order elementwise arithmetic with no BLAS call per sample.  The
 samplers are these builders on a stack of one, so they share every bit.
+A chunk leaves with the sample axis last, as the relations take it:
+``(dim, count)`` amplitudes or ``(dim, dim, count)`` density matrices.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
     ``haar_pure(dim, normals)`` or ``random_mixed`` builds one, from the *i*-th draws of
     the ``normals`` and ``exponentials`` streams, so no sample depends on ``CHUNK``.
     Mixed samples are ``(dim, dim)`` density matrices of rank ``rank``, or ``i % dim + 1``
-    if None; pure ones unit ``(dim,)`` amplitudes."""
+    if None; pure ones unit ``(dim,)`` amplitudes.  A chunk is a contiguous stack with the
+    sample axis last, ``(dim, dim, count)`` or ``(dim, count)``."""
     normals, exponentials = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     for start in range(0, n, CHUNK):
         count = min(CHUNK, n - start)
@@ -113,7 +116,7 @@ def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
         else:
             samples = _haar_rows(z)
             _require_unit_norm(samples)
-            yield samples
+            yield np.ascontiguousarray(samples.T)
 
 
 def _require_dim(caller: str, dim, least: int) -> None:
@@ -172,11 +175,12 @@ def _unitaries(z: np.ndarray, width: int | None = None) -> np.ndarray:
 
 
 def _mixed_from(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_c (w_c u_c) (x) conj(u_c) over the columns c < rank of (..., n, >= rank) u and
-    (..., rank) w, added in order; a transposed view, like ``_unitaries``' result."""
+    """sum_c (w_c u_c) (x) conj(u_c) over the columns c < rank of (count, n, >= rank) u and
+    (count, rank) w, or one (n, >= rank) u and (rank,) w, added in order: ``(n, n, count)``
+    or ``(n, n)``, the stack axis last."""
     ut, wt = u.T, weights.T  # ut[c, i]: row i of column c, over the stack
-    terms = ((ut[c] * wt[c])[None] * ut[c, :, None].conj() for c in range(len(wt)))  # [j, i]
-    return reduce(np.add, terms).T
+    terms = ((ut[c] * wt[c])[:, None] * ut[c][None, :].conj() for c in range(len(wt)))  # [i, j]
+    return reduce(np.add, terms)
 
 
 def _mixed_stack(z: np.ndarray, e: np.ndarray, start: int, rank: int | None) -> np.ndarray:
@@ -184,13 +188,15 @@ def _mixed_stack(z: np.ndarray, e: np.ndarray, start: int, rank: int | None) -> 
     the projector sum of its Haar frame's first ``rank`` columns with Dirichlet weights, where
     chunk sample ``i`` is the campaign's ``start + i``-th and has rank ``rank`` or, if None,
     ``(start + i) % dim + 1``.  Each rank group is one strided view of the chunk, with one frame
-    of ``rank`` columns, one simplex and one projector sum."""
-    dim, out = z.shape[-1], np.empty_like(z)
+    of ``rank`` columns, one simplex and one projector sum, written to its samples of the
+    ``(dim, dim, count)`` result."""
+    count, dim = len(z), z.shape[-1]
+    out = np.empty((dim, dim, count), dtype=np.complex128)
     for r in range(1, dim + 1) if rank is None else (rank,):
         # cycling ranks: sample start + i has rank (start + i) % dim + 1, so every dim-th sample
         group = slice((r - 1 - start) % dim, None, dim) if rank is None else slice(None)
         if len(z[group]):  # a chunk shorter than dim leaves some ranks out
-            out[group] = _mixed_from(_unitaries(z[group], r), _simplex(e[group, :r]))
+            out[..., group] = _mixed_from(_unitaries(z[group], r), _simplex(e[group, :r]))
     return out
 
 
@@ -218,4 +224,4 @@ def random_mixed(dim: int, rank: int, seed) -> np.ndarray:
     if not (_is_int(rank) and 1 <= rank <= dim):
         raise DimensionError(f"rank must be in 1..{dim}, got {rank!r}")
     rng = _rng_from(seed)  # the normals, then the exponentials dirichlet would draw
-    return _mixed_stack(_complex_gaussians(rng, 1, (dim, dim)), rng.standard_exponential((1, rank)), 0, rank)[0]
+    return _mixed_stack(_complex_gaussians(rng, 1, (dim, dim)), rng.standard_exponential((1, rank)), 0, rank)[..., 0]

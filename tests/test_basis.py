@@ -313,8 +313,10 @@ def test_purity_residuals_equal_the_dense_einsum_bit_for_bit(count):
     rng = np.random.default_rng(count)
     z = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
     amps = z / np.linalg.norm(z, axis=-1, keepdims=True)
-    for comps in (_stokes_components(amps[:, :, None] * amps[:, None, :].conj()), rng.standard_normal((count, 8))):
-        dijk, dense_dijk = _purity_residuals(comps)[1], _dense_dijk_residual(comps)
+    # stacks put the component axis first; the second one is a transposed view
+    projectors = np.multiply(amps.T[:, None], amps.T[None, :].conj())
+    for comps in (_stokes_components(projectors), rng.standard_normal((count, 8)).T):
+        dijk, dense_dijk = _purity_residuals(comps)[1], _dense_dijk_residual(comps.T)
         assert dijk.shape == (count,) and dijk.tobytes() == dense_dijk.tobytes()
 
 

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, formats, determinism."""
 
 import argparse
+import hashlib
 import itertools
 import json
 import types
@@ -15,7 +16,9 @@ import polco.measures
 from polco import (
     TAU_NUM,
     PreconditionError,
+    StateVector,
     haar_pure,
+    haar_unitary,
     matrix_to_json,
     named_state,
     named_state_names,
@@ -166,6 +169,41 @@ def test_analyze_computes_the_stokes_components_once(tmp_path, capsys, monkeypat
         calls.clear()
         _analyze(tmp_path, capsys, doc)
         assert calls == [m.shape]
+
+
+def _one_of_each_corpus_kind():
+    """A document of each kind of the benchmark corpus, from samplers that use no BLAS:
+    2x2 matrices of rank 1-2, 3x3 of rank 1-3, and the first column of a Haar unitary as a
+    qubit, a qutrit, a 2x2 and a 3x3 bipartite vector."""
+    docs = {f"m{dim}r{rank}": matrix_to_json(random_mixed(dim, rank, 10 * dim + rank))
+            for dim in (2, 3) for rank in range(1, dim + 1)}
+    for kind, dim, split in (("v2", 2, None), ("v3", 3, None), ("b2x2", 4, (2, 2)), ("b3x3", 9, (3, 3))):
+        docs[kind] = state_to_json(StateVector(haar_unitary(dim, dim)[:, 0], split=split))
+    return docs
+
+
+# sha256 of `polco analyze --input D` (json) for each kind, with every sum over entries in order
+ANALYZE_SHA256 = {
+    "b2x2": "adea9f76ccac718c014a6445ce7d7b6f4bf1ffba3465d35438cac7db844f69e3",
+    "b3x3": "bea7f18081170b69d637dd4e4303e0e0bdc2c664ef6618f540f57188cfbe1c11",
+    "m2r1": "c4287e844ec07ae6daad5294a8d70cea6c18526f94026bcb788dd28515897b20",
+    "m2r2": "e14ffb51496ee37178b022579e9020ce88a8a67f6bfa2a56d582b831d70d2d75",
+    "m3r1": "2908c91fab5702850b6f3c8ce9d13260cdac2b61985abc92cb8d81636d761ae7",
+    "m3r2": "21603e4d01baf4de71c6d14d5c82b34ff511d3c9e55e3849a4461533fd58e858",
+    "m3r3": "cb8cc30e9827f099220ff20ecbc5723e2a7a6a2ced0a1d86610f1605eb50d3b2",
+    "v2": "a6fbdaa2e0ce4799c958955fab6171cc955c0b3829efdc13ffd97c53b8be5119",
+    "v3": "2881e7b10fd550f78c30c6d7c7abaff59cdac7ab1304eeac9ff7b38c4f8c4be6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ANALYZE_SHA256))
+def test_analyze_output_is_pinned(tmp_path, capsys, kind):
+    # the single-input path, pinned as test_campaign_summaries_are_pinned pins the stacked one
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_one_of_each_corpus_kind()[kind]))
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[kind]
 
 
 # --- exit codes -----------------------------------------------------------

@@ -231,6 +231,8 @@ def test_gram_equals_the_broadcast_sum_bit_for_bit(split, count):
     shape = split if count is None else (count, *split)
     table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     broadcast_sum = (table[..., :, None, :] * table.conj()[..., None, :, :]).sum(axis=-1)
+    if count is not None:  # _gram takes and gives stacks with the stack axis last
+        table, broadcast_sum = np.moveaxis(table, 0, -1), np.moveaxis(broadcast_sum, 0, -1)
     if split[1] <= 3:
         assert _gram(table).tobytes() == broadcast_sum.tobytes()
     else:
@@ -314,6 +316,11 @@ def test_linear_entropy_needs_dim_two():
 
 # --- stacks ------------------------------------------------------------------
 
+def stack_last(mats):
+    """A ``(..., n, n)`` stack of matrices as the kernels take it, ``(n, n, ...)``: a view."""
+    return np.moveaxis(mats, (-2, -1), (0, 1))
+
+
 BAD_MATRICES = {
     "non-psd": np.diag([1.2, -0.2, 0.0]),
     "non-hermitian": np.array([[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]]),
@@ -328,7 +335,7 @@ def test_stack_raises_the_error_of_its_bad_matrix(kind, k):
     stack[k] = BAD_MATRICES[kind]
     expected = "; ".join(validate_density(stack[k], require_unit_trace=False).messages)
     with pytest.raises(ValidationError) as caught:
-        _density_measures(stack.reshape(7, 1, 3, 3))
+        _density_measures(stack_last(stack.reshape(7, 1, 3, 3)))
     assert str(caught.value) == expected
 
 
@@ -338,7 +345,7 @@ def test_stack_reports_its_first_bad_matrix(first, second):
     stack[1], stack[3] = BAD_MATRICES[first], BAD_MATRICES[second]
     expected = "; ".join(validate_density(stack[1], require_unit_trace=False).messages)
     with pytest.raises(ValidationError) as caught:
-        _density_measures(stack)
+        _density_measures(stack_last(stack))
     assert str(caught.value) == expected
 
 
@@ -377,13 +384,13 @@ def test_stack_is_accepted_iff_each_matrix_validates(n, kinds, seed):
     reports = [validate_density(m, require_unit_trace=False) for m in mats]
     passing = [r.ok and r.trace.real > TAU_NORM for r in reports]
     if all(passing):
-        np.testing.assert_array_equal(_as_density(np.stack(mats)), np.stack([_as_density(m) for m in mats]))
+        np.testing.assert_array_equal(_as_density(stack_last(np.stack(mats))), np.stack([_as_density(m) for m in mats], axis=-1))
         return
     first = reports[passing.index(False)]
     # a matrix's own message: its report's faults, or its trace when only that fails
     expected = "; ".join(first.messages) or f"trace {first.trace!r} is not positive"
     with pytest.raises(ValidationError) as caught:
-        _as_density(np.stack(mats))
+        _as_density(stack_last(np.stack(mats)))
     assert str(caught.value) == expected
 
 
@@ -402,7 +409,7 @@ def eigvalsh_calls(monkeypatch):
 
 
 def _outcome(stack):
-    """A stack's normalized bytes, or the message of the ValidationError it raises."""
+    """An ``(n, n, ...)`` stack's normalized bytes, or the message of the ValidationError it raises."""
     try:
         return _as_density(stack, dims=None).tobytes()
     except ValidationError as error:
@@ -421,6 +428,7 @@ def test_the_cholesky_gate_decides_as_eigvalsh(eigvalsh_calls, monkeypatch, n, f
         eigenvalues = np.concatenate([[floor * TAU_PSD], scale * rng.uniform(0.1, 1.0, n - 1)])
         u = haar_unitary(n, rng)
         stacks.append(np.stack([np.eye(n) / n, (u * eigenvalues) @ u.conj().T, np.eye(n) / n]))
+    stacks = [stack_last(stack) for stack in stacks]
     gated = [_outcome(stack) for stack in stacks]
     assert all(isinstance(outcome, str) == (floor < -1) for outcome in gated)
     if scale == 1.0:  # the gate passes a stack exactly when its shift clears the floor
@@ -461,10 +469,10 @@ def test_the_column_cholesky_decides_as_lapack(n):
     mixed = np.concatenate([definite[:10], _hermitian_near_the_shift(rng, n, 20, +1.0)])
     rng.shuffle(mixed)
     for h in mixed:
-        assert _shifted_cholesky_passes(h[None]) == _lapack_cholesky_passes(h)
+        assert _shifted_cholesky_passes(stack_last(h[None])) == _lapack_cholesky_passes(h)
     assert sum(map(_lapack_cholesky_passes, mixed)) == 10
-    assert _shifted_cholesky_passes(definite) and all(map(_lapack_cholesky_passes, definite))
-    assert not _shifted_cholesky_passes(mixed)
+    assert _shifted_cholesky_passes(stack_last(definite)) and all(map(_lapack_cholesky_passes, definite))
+    assert not _shifted_cholesky_passes(stack_last(mixed))
 
 
 @pytest.mark.parametrize("part,calls,hermitian", [(0.4, 0, True), (0.6, 1, True), (0.8, 1, False)])
@@ -475,10 +483,10 @@ def test_the_gate_bounds_each_part_of_the_hermitian_defect_by_half_its_tolerance
     stack = np.stack([random_mixed(3, 3, i) for i in range(7)])
     stack[4, 0, 1] += part * (1 + 1j) * TAU_HERM
     if hermitian:
-        _as_density(stack)
+        _as_density(stack_last(stack))
     else:
         with pytest.raises(ValidationError, match="not Hermitian"):
-            _as_density(stack)
+            _as_density(stack_last(stack))
     assert len(eigvalsh_calls) == calls
 
 
@@ -489,7 +497,7 @@ def test_the_gate_takes_no_stack_above_its_trace_bound(eigvalsh_calls):
     stack = np.stack([random_mixed(3, 3, i) for i in range(7)])
     for scale, calls in [(1e3, 0), (1.86e4, 0), (1.89e4, 1), (1e6, 1)]:
         eigvalsh_calls.clear()
-        np.testing.assert_allclose(_as_density(scale * stack), stack, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_as_density(stack_last(scale * stack)), stack_last(stack), rtol=0, atol=1e-14)
         assert len(eigvalsh_calls) == calls, scale
 
 
@@ -497,14 +505,33 @@ def test_the_gate_takes_no_stack_above_its_trace_bound(eigvalsh_calls):
 def test_eigvalsh_runs_only_to_name_a_failure_or_report(eigvalsh_calls, kind):
     stack = np.stack([random_mixed(3, i % 3 + 1, i) for i in range(7)])
     if kind == "good":
-        _as_density(stack)
+        _as_density(stack_last(stack))
     else:
         stack[4] = BAD_MATRICES[kind]
         with pytest.raises(ValidationError):
-            _as_density(stack)
+            _as_density(stack_last(stack))
     assert eigvalsh_calls == ([] if kind == "good" else [(7, 3, 3)])
     validate_density(stack[4])
     assert len(eigvalsh_calls) == (1 if kind == "good" else 2)
+
+
+@pytest.mark.parametrize("kind", ["good", *sorted(BAD_MATRICES)])
+def test_the_gate_takes_a_strided_or_broadcast_stack_as_its_contiguous_copy(kind):
+    # the gate reads the Hermitian defect's real and imaginary parts apart, so it needs no
+    # contiguous last axis; a float64 view of M - M^dagger raised ValueError on these stacks
+    mats = np.stack([random_mixed(3, i % 3 + 1, i) for i in range(7)])
+    if kind != "good":
+        mats[4] = BAD_MATRICES[kind]
+    views = [
+        stack_last(mats),  # the stack axis outermost in memory
+        stack_last(mats)[..., ::2],  # every other sample, the bad one among them
+        np.broadcast_to(stack_last(mats[4:5]), (3, 3, 6)),  # one matrix, a stride of 0
+        stack_last(mats).swapaxes(0, 1).conj(),  # the adjoints
+    ]
+    for view in views:
+        assert not view.flags.c_contiguous
+        assert _outcome(view) == _outcome(np.ascontiguousarray(view))
+    assert isinstance(_outcome(views[2]), str) == (kind != "good")
 
 
 @pytest.mark.parametrize("kind", ["good", "non-psd"])
@@ -517,10 +544,10 @@ def test_the_gate_runs_on_stacks_only_and_before_eigvalsh(monkeypatch, kind, sha
         monkeypatch.setattr(owner, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
     stack = np.tile(np.eye(3) / 3 if kind == "good" else BAD_MATRICES[kind], (*shape, 1, 1)) + 0j
     if kind == "good":
-        _as_density(stack)
+        _as_density(stack_last(stack))
     else:
         with pytest.raises(ValidationError):
-            _as_density(stack)
+            _as_density(stack_last(stack))
     gate = [] if shape == () else ["_shifted_cholesky_passes"]
     assert calls == gate + ([] if gate and kind == "good" else ["eigvalsh"])
 
