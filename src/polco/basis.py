@@ -138,22 +138,33 @@ def stokes_extract(phi) -> StokesVector:
     return StokesVector(phi.shape[0], _stokes_components(phi))
 
 
+def _padded_nonzeros(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of each ``tensor[k]`` as padded (term, k) tables, frozen:
+    the entries t_kij, and their (i, j) stacked, ``(2, term, k)``.
+
+    Column k lists tensor[k]'s nonzeros in (i, j) order, then zero terms at
+    (0, 0) up to the longest column."""
+    columns = [np.argwhere(t) for t in tensor]
+    shape = (max(map(len, columns)), len(columns))
+    coeff, index = np.zeros(shape, dtype=tensor.dtype), np.zeros((2, *shape), dtype=np.intp)
+    for k, ij in enumerate(columns):
+        coeff[: len(ij), k] = tensor[k][tuple(ij.T)]
+        index[:, : len(ij), k] = ij.T
+    coeff.flags.writeable = index.flags.writeable = False
+    return coeff, index
+
+
 @lru_cache(maxsize=None)
 def _generator_entries(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Each generator's nonzero entries as padded (term, k) tables: g_kij, and the
     flat index j n + i of the phi_ji it multiplies in Tr(g_k phi) = sum_ij g_kij phi_ji;
     then 1/sqrt(kappa(n)).
 
-    Column k lists g_k's entries in (i, j) order, then zero terms up to the
-    longest column.  An entry is real or imaginary, so the real part of its
-    product is one rounded real product, Re g_kij Re phi_ji or -Im g_kij Im phi_ji."""
-    g = generators(n)
-    entries = [np.argwhere(gk) for gk in g]
-    shape = (max(map(len, entries)), len(g))
-    coeff, flat = np.zeros(shape, dtype=np.complex128), np.zeros(shape, dtype=np.intp)
-    for k, (i, j) in enumerate(ij.T for ij in entries):
-        coeff[:len(i), k], flat[:len(i), k] = g[k, i, j], j * n + i
-    coeff.flags.writeable = flat.flags.writeable = False
+    An entry is real or imaginary, so the real part of its product is one
+    rounded real product, Re g_kij Re phi_ji or -Im g_kij Im phi_ji."""
+    coeff, (i, j) = _padded_nonzeros(generators(n))
+    flat = j * n + i
+    flat.flags.writeable = False
     return coeff, flat, math.sqrt(n / (2.0 * (n - 1)))
 
 
@@ -204,20 +215,9 @@ def pure_state_constraints(s: StokesVector) -> PurityResiduals:
 
 @lru_cache(maxsize=1)
 def _d_terms() -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero d_ijk as padded (term, k) tables: d_ijk, and (i, j) stacked.
-
-    Column k lists its (i, j) in lexicographic order, then zero terms up to
-    the longest column; 58 of the 512 d_ijk are nonzero.
-    """
-    d = structure_constants().d
-    columns = [np.argwhere(d[:, :, k]) for k in range(d.shape[-1])]
-    shape = (max(map(len, columns)), len(columns))
-    coeff, index = np.zeros(shape), np.zeros((2, *shape), dtype=np.intp)
-    for k, (rows, cols) in enumerate(ij.T for ij in columns):
-        coeff[:len(rows), k] = d[rows, cols, k]
-        index[:, :len(rows), k] = rows, cols
-    coeff.flags.writeable = index.flags.writeable = False
-    return coeff, index
+    """The nonzero d_ijk as padded (term, k) tables: d_ijk, and (i, j) stacked;
+    58 of the 512 d_ijk are nonzero."""
+    return _padded_nonzeros(np.moveaxis(structure_constants().d, -1, 0))
 
 
 def _purity_residuals(comps: np.ndarray):

@@ -18,9 +18,7 @@ leaves the order of a sum to numpy's pairwise tree or to a BLAS dot.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from numbers import Integral
 
 import numpy as np
@@ -137,8 +135,16 @@ def _density_checks(m: np.ndarray):
 def _in_order_sum(terms):
     """terms[0] + terms[1] + ... in that order, over the first axis of an array or
     over a sequence.  One entry's terms are numpy scalars, which add as the
-    array loops add, so one matrix gets the bits it gets inside a stack."""
-    return reduce(operator.add, terms)
+    array loops add, so one matrix gets the bits it gets inside a stack.
+    From the third term on the adds go in place, into one buffer.  An empty
+    sum is 0 in the shape of one term, as numpy's ``sum`` gives it."""
+    if len(terms) < 2:
+        return terms[0] if len(terms) else np.zeros(np.shape(terms)[1:])
+    terms = iter(terms)
+    total = next(terms) + next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def _require_density(m: np.ndarray) -> np.ndarray:

@@ -231,6 +231,16 @@ def test_analyze_unnormalized_state_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("dB", [2, 3])
+def test_analyze_a_one_row_split_exits_3(tmp_path, capsys, dB):
+    # its reduced matrix is 1 x 1, which no measure takes
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({"dim": dB, "re": [1.0] + [0.0] * (dB - 1), "im": [0.0] * dB, "split": [1, dB]}))
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 3 and out == ""
+    assert "invalid" in err
+
+
 def test_analyze_nan_amplitude_exits_3(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"dim": 3, "re": [NaN, 0.6, 0.0], "im": [0, 0, 0]}')

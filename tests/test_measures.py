@@ -217,6 +217,14 @@ def test_i_concurrence_general_split():
         assert abs(i_concurrence_sq(state) - 2 * (1 - purity(rho_a))) <= 1e-10
 
 
+@pytest.mark.parametrize("split", [(1, 1), (1, 2), (1, 3)])
+def test_i_concurrence_of_a_one_row_split_is_zero(split):
+    # one row has no pairs: the empty wedge sum is 0, a product state's value
+    amplitudes = np.arange(1.0, split[1] + 1.0)
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes), split=split)
+    assert i_concurrence_sq(state) == 0.0
+
+
 def test_i_concurrence_needs_split():
     with pytest.raises(DimensionError):
         i_concurrence_sq(haar_pure(4, 1))

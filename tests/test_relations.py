@@ -310,16 +310,20 @@ def test_kappa_gives_the_paper_constants_bit_for_bit():
     assert polco.relations._kappa(3) == 4.0 / 3.0
 
 
-@pytest.mark.parametrize("seed", [12, 16, 37, 44, 77])
-def test_qutrit_triality_reports_its_mixedness_clause(seed):
-    # on these samples the mixedness clause is the worst of the three
-    state = haar_pure(9, seed, split=(3, 3))
-    rho, ent_sq = polco.measures._reduce(state.amplitudes.reshape(3, 3))
-    _, *raw = polco.measures._density_measures(rho)
-    pred, coh, mix = np.maximum(raw, 0.0)
-    mixedness = abs(FOUR_THIRDS * mix + pred + coh - FOUR_THIRDS)
-    assert mixedness > max(abs(ent_sq + coh + pred - FOUR_THIRDS), abs(ent_sq - FOUR_THIRDS * mix))
-    assert check_qutrit_triality_pure(state).residual == mixedness
+def test_qutrit_triality_reports_its_mixedness_clause():
+    # the residual is the worst of the three clauses, and on some samples
+    # the worst is the mixedness clause
+    worst_is_mixedness = 0
+    for seed in range(200):
+        state = haar_pure(9, seed, split=(3, 3))
+        rho, ent_sq = polco.measures._reduce(state.amplitudes.reshape(3, 3))
+        _, *raw = polco.measures._density_measures(rho)
+        pred, coh, mix = np.maximum(raw, 0.0)
+        mixedness = abs(FOUR_THIRDS * mix + pred + coh - FOUR_THIRDS)
+        others = max(abs(ent_sq + coh + pred - FOUR_THIRDS), abs(ent_sq - FOUR_THIRDS * mix))
+        assert check_qutrit_triality_pure(state).residual == max(mixedness, others)
+        worst_is_mixedness += bool(mixedness > others)
+    assert worst_is_mixedness > 0
 
 
 # --- campaigns ---------------------------------------------------------------------
