@@ -78,10 +78,10 @@ class StateVector:
 
 
 def _require_unit_norm(amps: np.ndarray) -> None:
-    """Raise for the first vector of a ``(..., n)`` stack whose norm^2,
-    rounded as ``np.vdot`` rounds it, is not 1 within ``TAU_NORM``."""
-    with np.errstate(invalid="ignore", over="ignore"):  # np.vdot stays silent on inf too
-        norm_sq = (amps.conj()[..., None, :] @ amps[..., :, None])[..., 0, 0].real
+    """Raise for the first vector of an ``(n, ...)`` stack whose norm^2, added in
+    order by :func:`_norm_sq`, is not 1 within ``TAU_NORM``."""
+    with np.errstate(over="ignore"):  # a square that overflows reads inf and fails below
+        norm_sq = _norm_sq(amps)
     ok = np.abs(norm_sq - 1.0) <= TAU_NORM  # False on NaN and infinite amplitudes too
     if not ok.all():
         raise ValidationError(f"state norm^2 = {float(norm_sq[~ok][0])!r}, not 1 within {TAU_NORM}")
@@ -283,7 +283,10 @@ def partial_trace(rho: np.ndarray, dA: int, dB: int, keep: str = "A") -> np.ndar
 
 
 def _norm_sq(v: np.ndarray) -> np.ndarray:
-    """Squared norms of a stack ``(k, ...)`` of real vectors: v_0^2 + v_1^2 + ..., in order."""
+    """Squared norms of a stack ``(k, ...)`` of vectors: v_0^2 + v_1^2 + ..., in order, and of
+    complex ones that sum over the real parts plus that over the imaginary parts."""
+    if np.iscomplexobj(v):
+        return _norm_sq(v.real) + _norm_sq(v.imag)
     return _in_order_sum(np.square(v))
 
 

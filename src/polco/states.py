@@ -9,8 +9,8 @@ normals and one for a mixed sample's Dirichlet exponentials, so sample
 of samples is one draw per stream and is then built once: one complex
 build, and one Haar norm or, per rank group (a strided view of the
 chunk), one Gram-Schmidt of the frame columns it reads and one projector
-sum, in-order elementwise arithmetic with no BLAS call per sample.  The
-samplers are these builders on a stack of one, so they share every bit.
+sum: in-order elementwise arithmetic, with no BLAS call whose kernel could
+move a bit.  The samplers run these builders on one sample, with its bits.
 A chunk leaves with the sample axis last, as the relations take it:
 ``(dim, count)`` amplitudes or ``(dim, dim, count)`` density matrices.
 """
@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateInput, DimensionError, PreconditionError, UnknownState
-from .linalg import StateVector, _is_int, _require_unit_norm
+from .linalg import StateVector, _is_int, _norm_sq, _require_unit_norm
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 CHUNK = 1024  # campaign samples drawn and built together: the CLI's default 1000 in one
@@ -52,10 +52,9 @@ def beam_to_state(spec: BeamSpec) -> StateVector:
     amplitudes land A-major as (a, b, c, d) with split (2, 2).
     """
     vec = np.array([spec.a, spec.b, spec.c, spec.d], dtype=np.complex128)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    if _norm_sq(vec) == 0.0:
         raise DegenerateInput("all four beam coefficients are zero")
-    return StateVector(vec / norm, split=(2, 2))
+    return StateVector(_normalized(vec), split=(2, 2))
 
 
 _NAMED_SPECS: dict[str, tuple[tuple[complex, ...], tuple[int, int] | None]] = {
@@ -80,8 +79,7 @@ def named_state(name: str) -> StateVector:
     except KeyError:
         known = ", ".join(sorted(_NAMED_SPECS))
         raise UnknownState(f"unknown state {name!r}; known: {known}") from None
-    vec = np.array(amps, dtype=np.complex128)
-    return StateVector(vec / np.linalg.norm(vec), split=split)
+    return StateVector(_normalized(np.array(amps, dtype=np.complex128)), split=split)
 
 
 def named_state_names() -> tuple[str, ...]:
@@ -114,9 +112,9 @@ def _campaign_samples(seed: int, n: int, dim: int, mixed: bool, rank=None):
         if mixed:
             yield _mixed_stack(z, exponentials.standard_exponential((count, dim)), start, rank)
         else:
-            samples = _haar_rows(z)
+            samples = _normalized(z.T)
             _require_unit_norm(samples)
-            yield np.ascontiguousarray(samples.T)
+            yield samples
 
 
 def _require_dim(caller: str, dim, least: int) -> None:
@@ -138,12 +136,10 @@ def _complex_gaussians(rng: np.random.Generator, count: int, shape: tuple) -> np
     return z
 
 
-def _haar_rows(z: np.ndarray) -> np.ndarray:
-    """Each row of a (count, d) complex stack over its norm sqrt(re . re + im . im), which is
-    ``np.linalg.norm``'s 1-d complex formula: numpy's matmul hands each (1, d) @ (d, 1) product
-    to the same ``dot``, so a row has the bits of ``row / np.linalg.norm(row)``."""
-    re, im = z.real[:, None, :], z.imag[:, None, :]
-    return z / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+def _normalized(z: np.ndarray) -> np.ndarray:
+    """Each vector of an ``(n, ...)`` complex stack over sqrt(|z|^2), |z|^2 added in order by
+    ``linalg._norm_sq`` with no BLAS dot; written C-contiguous, whatever z's layout."""
+    return np.divide(z, np.sqrt(_norm_sq(z)), order="C")
 
 
 def _simplex(e: np.ndarray) -> np.ndarray:
@@ -201,10 +197,10 @@ def _mixed_stack(z: np.ndarray, e: np.ndarray, start: int, rank: int | None) -> 
 
 
 def haar_pure(dim: int, seed, split: tuple[int, int] | None = None) -> StateVector:
-    """Haar-random pure state: a normalized complex Gaussian vector, built as a
-    campaign builds a stack of them."""
+    """Haar-random pure state: a complex Gaussian vector over its in-order norm,
+    built as a campaign builds a stack of them."""
     _require_dim("haar_pure", dim, 2)
-    return StateVector(_haar_rows(_complex_gaussians(_rng_from(seed), 1, (dim,)))[0], split=split)
+    return StateVector(_normalized(_complex_gaussians(_rng_from(seed), 1, (dim,))[0]), split=split)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

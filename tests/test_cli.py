@@ -206,6 +206,16 @@ def test_analyze_output_is_pinned(tmp_path, capsys, kind):
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[kind]
 
 
+def test_generate_output_is_pinned(tmp_path, capsys):
+    # README's pure pair: a Haar sample's bits through the CLI, its norm added in order
+    path = tmp_path / "pair.json"
+    code, _, err = run_cli(capsys, "generate", "--kind", "haar-pure", "--dim", "9", "--split", "3x3",
+                           "--seed", "11", "--out", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3d15a2c6aab00019770fc7cc08316a7625657709e6726cfccd8df4c2bdf9e534")
+
+
 # --- exit codes -----------------------------------------------------------
 
 def test_analyze_malformed_json_exits_2(tmp_path, capsys):

@@ -6,7 +6,6 @@ import json
 import math
 import re
 import textwrap
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -624,44 +623,25 @@ def test_a_campaigns_first_sample_is_pinned():
 
 
 # (max_residual, mean_residual) of each relation's campaign at seed 7 over 2 * CHUNK + 5 samples,
-# with every sum over matrix entries in written order.  A pure sample is a row over its norm
-# as np.linalg.norm rounds it, through the BLAS dot; the first set holds where that dot fuses
-# its multiply-adds (OpenBLAS's SkylakeX kernel), the second where it adds each rounded square
-# in order (its Haswell, Sandybridge and Nehalem kernels).  Mixed samples use no BLAS.
+# with every sum over matrix entries, and each pure sample's norm, added in written order.  No
+# BLAS call builds a sample or a residual, so these hold under every OpenBLAS kernel.
 PINNED_SUMMARIES = {
-    "qubit-duality": (1.3322676295501878e-15, 2.967264362454084e-16),
-    "qutrit-duality": (1.5543122344752192e-15, 3.8795616067515213e-16),
-    "pct": (6.661338147750939e-16, 1.3336894212834732e-16),
-    "qubit-triality": (2.3314683517128287e-15, 5.806275212633422e-16),
-    "qutrit-triality": (1.9984014443252818e-15, 5.867877488773219e-16),
-    "qubit-mixed-triality": (1.3322676295501878e-15, 2.8856064585483855e-16),
-    "qutrit-mixed-triality": (1.3322676295501878e-15, 2.6876806782206664e-16),
-    "stokes-geometry": (1.3322676295501878e-15, 3.214849031570481e-16),
-}
-PINNED_SUMMARIES_UNDER_AN_IN_ORDER_DOT = {
-    **PINNED_SUMMARIES,
     "qubit-duality": (1.3322676295501878e-15, 2.980783882968272e-16),
     "qutrit-duality": (1.5543122344752192e-15, 3.9033559628564927e-16),
-    "qutrit-triality": (2.1094237467877974e-15, 5.876259591492016e-16),
+    "pct": (6.661338147750939e-16, 1.3336894212834732e-16),
+    "qubit-triality": (2.4771851236948805e-15, 5.858910508360302e-16),
+    "qutrit-triality": (2.220446049250313e-15, 6.064316121844377e-16),
+    "qubit-mixed-triality": (1.3322676295501878e-15, 2.8856064585483855e-16),
+    "qutrit-mixed-triality": (1.3322676295501878e-15, 2.6876806782206664e-16),
     "stokes-geometry": (1.3322676295501878e-15, 3.2503377729202263e-16),
 }
-
-
-def _blas_dot_adds_in_order():
-    """Whether numpy's matmul dots a short real vector with itself as the in-order
-    sum of its rounded squares, for the lengths 2, 3 and 9 of the pure samples."""
-    x = np.random.default_rng(0).standard_normal((1000, 9))
-    dot = [(x[:, None, :n] @ x[:, :n, None])[:, 0, 0] for n in (2, 3, 9)]
-    in_order = [reduce(np.add, np.square(x[:, :n]).T) for n in (2, 3, 9)]
-    return all(map(np.array_equal, dot, in_order))
 
 
 @pytest.mark.parametrize("relation", relation_ids())
 def test_campaign_summaries_are_pinned(relation):
     # literals from the same platform as the pinned first sample: a change to the samplers,
     # the density gate or a measure kernel that moves one bit of any sample's residual shows here
-    pins = PINNED_SUMMARIES_UNDER_AN_IN_ORDER_DOT if _blas_dot_adds_in_order() else PINNED_SUMMARIES
-    max_residual, mean_residual = pins[relation]
+    max_residual, mean_residual = PINNED_SUMMARIES[relation]
     assert summary_to_json(run_campaign(relation, 2 * CHUNK + 5, 7)) == {
         "relation_id": relation, "n_samples": 2 * CHUNK + 5, "max_residual": max_residual,
         "mean_residual": mean_residual, "failures": 0, "seed": 7, "tolerance": 1e-9,
@@ -711,6 +691,7 @@ LAYOUT_KERNELS = {
     "_purity_residuals": (polco.basis._purity_residuals, "stokes3"),
     "_purity_residuals/normals": (polco.basis._purity_residuals, "normals8"),
     "_norm_sq": (polco.linalg._norm_sq, "normals8"),
+    "_normalized": (polco.states._normalized, "amps3"),
 }
 
 
@@ -739,13 +720,15 @@ def test_a_stacks_sample_is_that_sample_alone_bit_for_bit(count, view):
 
 
 def _products_by_library(functions):
-    """Which of ``@`` and numpy's einsum, matmul and dot family ``functions``' source uses."""
+    """Which of ``@``, numpy's einsum, matmul and dot family and ``np.linalg.norm`` the
+    source of ``functions`` (functions or whole modules) uses."""
+    library = ("einsum", "matmul", "dot", "vdot", "inner", "tensordot", "norm")
     found = set()
     for function in functions:
         for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 found.add("@")
-            if isinstance(node, ast.Attribute) and node.attr in ("einsum", "matmul", "dot", "vdot", "inner", "tensordot"):
+            if isinstance(node, ast.Attribute) and node.attr in library:
                 found.add(node.attr)
     return found
 
@@ -758,14 +741,16 @@ KERNELS = [
     polco.measures._gram, polco.measures._wedge_sum, polco.measures._concurrence,
     polco.basis._stokes_components, polco.basis._purity_residuals,
     polco.linalg._require_density, polco.linalg._shifted_cholesky_passes, polco.linalg._norm_sq,
-    polco.linalg._in_order_sum,
+    polco.linalg._in_order_sum, polco.linalg._require_unit_norm, polco.states._normalized,
 ]
 
 
 def test_no_kernel_is_written_with_einsum_matmul_or_a_blas_dot():
-    # every sum over matrix entries is added in written order, never in an order numpy or BLAS picks
+    # every sum over matrix entries, and every pure sample's norm, is added in written order,
+    # never in an order numpy or BLAS picks; no sampler in the states module calls BLAS at all
     assert _products_by_library(KERNELS) == set()
-    assert _products_by_library([polco.basis.structure_constants, polco.states._haar_rows]) == {"einsum", "@"}
+    assert _products_by_library([polco.states]) == set()
+    assert _products_by_library([polco.basis.structure_constants]) == {"einsum"}
 
 
 @pytest.mark.parametrize("relation", relation_ids())
@@ -863,21 +848,21 @@ def test_campaign_builds_no_seed_sequence_or_generator_per_sample(small_chunk, r
 def test_campaign_rejects_an_unnormalized_sample(monkeypatch, small_chunk):
     # the stacked unit-norm test raises what StateVector raises for that sample
     built = []
-    original = polco.states._haar_rows
+    original = polco.states._normalized
 
     def drifting(z):
-        rows = original(z)
-        built.append(rows)
-        drifted = rows.copy()
-        if len(built) == 2:  # the second chunk, so its row 1 is sample small_chunk + 1
-            drifted[1] *= 1.0 + 1e-6
+        samples = original(z)
+        built.append(samples)
+        drifted = samples.copy()
+        if len(built) == 2:  # the second (dim, count) chunk, so its column 1 is sample small_chunk + 1
+            drifted[:, 1:] *= 1.0 + 1e-6
         return drifted
 
-    monkeypatch.setattr(polco.states, "_haar_rows", drifting)
+    monkeypatch.setattr(polco.states, "_normalized", drifting)
     with pytest.raises(ValidationError) as raised:
         run_campaign("qutrit-duality", small_chunk + 5, seed=4)
     with pytest.raises(ValidationError) as expected:
-        StateVector(built[1][1] * (1.0 + 1e-6))
+        StateVector(built[1][:, 1] * (1.0 + 1e-6))
     assert str(raised.value) == str(expected.value)
 
 

@@ -1,5 +1,7 @@
 """State constructors and seeded random generators."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from polco import (
     random_mixed,
     state_to_json,
 )
-from polco.states import _complex_gaussians, _haar_rows, _mixed_from, _unitaries
+from polco.states import _complex_gaussians, _mixed_from, _normalized, _unitaries
 
 
 # --- beam mapping --------------------------------------------------------
@@ -291,14 +293,15 @@ def test_random_mixed_equals_the_dirichlet_route_bit_for_bit():
 
 
 @pytest.mark.parametrize("dim", range(1, 17))
-def test_stacked_haar_norm_equals_np_linalg_norm_bit_for_bit(dim):
-    # campaigns normalize a chunk's rows with two stacked matmuls; rows far
-    # from unit norm, near the overflow and underflow of their squares, too
+def test_stacked_haar_norm_adds_its_squares_in_order(dim):
+    # campaigns normalize a (dim, count) chunk by the in-order sum of the squared real parts
+    # plus that of the squared imaginary parts; vectors far from unit norm, near the overflow
+    # and underflow of their squares, too
     rng = np.random.default_rng(dim)
-    z = (rng.standard_normal((240, dim)) + 1j * rng.standard_normal((240, dim))) / np.sqrt(2.0)
-    z *= np.repeat([1.0, 1e3, 1e-3, 1e150, 1e-150], 48)[:, None]
-    expected = np.stack([row / np.linalg.norm(row) for row in z])
-    assert _haar_rows(z).tobytes() == expected.tobytes()
+    z = (rng.standard_normal((dim, 240)) + 1j * rng.standard_normal((dim, 240))) / np.sqrt(2.0)
+    z *= np.repeat([1.0, 1e3, 1e-3, 1e150, 1e-150], 48)
+    expected = z / np.sqrt(reduce(np.add, np.square(z.real)) + reduce(np.add, np.square(z.imag)))
+    assert _normalized(z).tobytes() == expected.tobytes()
 
 
 class _Drawn:
